@@ -12,13 +12,9 @@ from .inequalities import (
     InequalityReport,
     TheoremPoint,
     TheoremReport,
-    eval_bell65,
+    applicable_reports,
     eval_ch,
-    eval_chsh,
     eval_fc,
-    eval_ineq17,
-    eval_ineq19,
-    eval_strong,
     make_report,
     normalize_functional_id,
     verify_theorem,
@@ -54,8 +50,6 @@ from .model import (
 from .montecarlo import (
     RunResult,
     RunSpec,
-    estimate_strong46,
-    ineq19_with_error,
     run_reports,
     simulate,
 )
@@ -66,6 +60,7 @@ from .qm import (
     depolarization_f,
     ideal_expectation,
     ideal_joint,
+    quantum_cells,
     real_joint,
     settings_table,
 )

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .inequalities import (
     FUNCTIONALS,
     InequalityReport,
+    applicable_reports,
     eval_ch,
     eval_fc,
     normalize_functional_id,
@@ -55,14 +56,26 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Config file handling: a JSON document with per-mode sections.
+# Config file handling: a JSON document with per-mode sections.  Every key
+# takes one JSON type; null is the same as leaving the key out.
+
+_KINDS = {
+    "a boolean": lambda v: isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a string or a list of strings": lambda v: isinstance(v, str) or (
+        isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
 
 _CONFIG_SECTIONS = {
-    "experiment": {"ideal", "eta", "phi_deg", "f_override"},
-    "angles": {"a", "b", "a_prime", "b_prime", "r"},
-    "run": {"pairs_per_setting", "seed", "threads"},
-    "optimize": {"inequality", "free", "grid_step", "refine_tolerance"},
-    "theorem": {"U", "V", "samples", "seed"},
+    "experiment": {"ideal": "a boolean", "eta": "a number", "phi_deg": "a number",
+                   "f_override": "a number"},
+    "angles": {name: "a number" for name in ("a", "b", "a_prime", "b_prime", "r")},
+    "run": {"pairs_per_setting": "an integer", "seed": "an integer", "threads": "an integer"},
+    "optimize": {"inequality": "a string", "free": "a string or a list of strings",
+                 "grid_step": "a number", "refine_tolerance": "a number"},
+    "theorem": {"U": "a number", "V": "a number", "samples": "an integer", "seed": "an integer"},
 }
 
 
@@ -79,10 +92,16 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        unknown = set(body) - _CONFIG_SECTIONS[section]
+        kinds = _CONFIG_SECTIONS[section]
+        unknown = set(body) - set(kinds)
         if unknown:
             raise ConfigError(
                 f"unknown keys in section {section!r}: {sorted(unknown)}")
+        for key, value in list(body.items()):
+            if value is None:
+                del body[key]
+            elif not _KINDS[kinds[key]](value):
+                raise ConfigError(f"{section}.{key} must be {kinds[key]}, got {value!r}")
     return cfg
 
 
@@ -232,25 +251,20 @@ def read_table_csv(path: str):
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
-def _applicable_reports(table: SettingsTable,
-                        params: Optional[ExperimentParams],
-                        which: str, phi_setting: float) -> list[InequalityReport]:
-    reports = []
-    wanted = None if which == "all" else normalize_functional_id(which)
-    for fid, f in FUNCTIONALS.items():
-        if wanted is not None and fid != wanted:
-            continue
-        if any(label not in table for label in f.required_pairs):
-            if wanted is not None:
-                raise EvaluationError(f"settings table lacks pairs for {fid}")
-            continue
-        reports.append(f.evaluate(table))
-    if params is not None and wanted in (None, "CH47"):
-        reports.append(eval_ch(params, phi_setting))
-    if params is not None and wanted in (None, "FC48"):
-        reports.append(eval_fc(params))
-    if wanted in ("CH47", "FC48") and params is None:
-        raise ConfigError(f"{wanted} needs a real apparatus (--eta/--phi)")
+def _predict_reports(table: SettingsTable,
+                     params: Optional[ExperimentParams],
+                     which: str, phi_setting: float) -> list[InequalityReport]:
+    """The chosen report, or every table functional and, for a real
+    apparatus, the two one-channel forms."""
+    ids = [*FUNCTIONALS, "CH47", "FC48"] if which == "all" else [normalize_functional_id(which)]
+    reports = [FUNCTIONALS[fid].evaluate(table) for fid in ids if fid in FUNCTIONALS]
+    if params is not None:
+        if "CH47" in ids:
+            reports.append(eval_ch(params, phi_setting))
+        if "FC48" in ids:
+            reports.append(eval_fc(params))
+    elif which != "all" and ids[0] not in FUNCTIONALS:
+        raise ConfigError(f"{ids[0]} needs a real apparatus (--eta/--phi)")
     return reports
 
 
@@ -259,7 +273,7 @@ def _cmd_predict(args) -> int:
     params = _parse_params(args, cfg)
     config = _parse_angles(args.angles, cfg)
     table = settings_table(config, ALL_PAIRS, params)
-    reports = _applicable_reports(table, params, args.ineq, args.phi_setting)
+    reports = _predict_reports(table, params, args.ineq, args.phi_setting)
     out = sys.stdout
     if args.format == "json":
         payload = {
@@ -284,16 +298,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     counts, table = read_table_csv(args.input)
-    if counts is not None:
-        reports = run_reports(counts)
-    else:
-        reports = []
-        for f in FUNCTIONALS.values():
-            if all(label in table for label in f.required_pairs):
-                try:
-                    reports.append(f.evaluate(table))
-                except EvaluationError:
-                    pass
+    reports = run_reports(counts) if counts is not None else applicable_reports(table)
     if not reports:
         raise EvaluationError("no inequality is applicable to the given settings")
     _emit_reports(reports, args.format, sys.stdout)

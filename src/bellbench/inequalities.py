@@ -1,10 +1,13 @@
 """Inequality functionals and the underlying algebraic theorem.
 
-Every functional is evaluated against a :class:`SettingsTable` and turned
-into an :class:`InequalityReport` carrying value, local bound, direction
-and a margin oriented so that positive margin means violation.  The
-ratio ("strong") forms divide out the reference-setting coincidence rate,
-which also removes the unknown emission count from experimental data.
+Every table functional is one registry entry holding its coefficient
+rows; evaluation on a :class:`SettingsTable`, estimates with error bars
+from counts, local bounds and the angle search all read those rows.
+Results are :class:`InequalityReport` values carrying value, local
+bound, direction and a margin oriented so that positive margin means
+violation.  The ratio ("strong") forms divide out the reference-setting
+coincidence rate, which also removes the unknown emission count from
+experimental data.
 """
 
 from __future__ import annotations
@@ -12,21 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .model import (
+    CountTable,
     EvaluationError,
-    JointDistribution,
-    Outcome,
+    MissingSettingError,
     SettingLabel,
     SettingsTable,
-    expectation,
 )
 from .qm import ExperimentParams
-
-P, M = Outcome.PLUS, Outcome.MINUS
 
 GE = ">="
 LE = "<="
@@ -103,20 +103,9 @@ class TheoremPoint:
                 raise ValueError(f"y value {v!r} outside [0, {self.V}]")
 
 
-def z_value(p: TheoremPoint) -> float:
-    """The 19-term form whose non-negativity drives the main inequality."""
-    return (
-        p.x1p * p.y1p + p.x1m * p.y1m - p.x1p * p.y1m - p.x1m * p.y1p
-        + p.y2p * p.x1p + p.y2m * p.x1m - p.y2p * p.x1m - p.y2m * p.x1p
-        + p.y1p * p.x2p + p.y1m * p.x2m - p.y1p * p.x2m - p.y1m * p.x2p
-        - 2.0 * p.x2p * p.y2p - 2.0 * p.x2m * p.y2m
-        + p.V * p.x2p + p.V * p.x2m + p.U * p.y2p + p.U * p.y2m
-        + p.U * p.V
-    )
-
-
 def _z_array(x: np.ndarray, U: float, V: float) -> np.ndarray:
-    """Vectorized z over rows (x1p, x1m, x2p, x2m, y1p, y1m, y2p, y2m)."""
+    """The 19-term form whose non-negativity drives the main inequality,
+    over rows (x1p, x1m, x2p, x2m, y1p, y1m, y2p, y2m)."""
     x1p, x1m, x2p, x2m, y1p, y1m, y2p, y2m = (x[:, i] for i in range(8))
     return (
         x1p * y1p + x1m * y1m - x1p * y1m - x1m * y1p
@@ -126,6 +115,11 @@ def _z_array(x: np.ndarray, U: float, V: float) -> np.ndarray:
         + V * x2p + V * x2m + U * y2p + U * y2m
         + U * V
     )
+
+
+def z_value(p: TheoremPoint) -> float:
+    x = np.array([[p.x1p, p.x1m, p.x2p, p.x2m, p.y1p, p.y1m, p.y2p, p.y2m]])
+    return float(_z_array(x, p.U, p.V)[0])
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,11 @@ def verify_theorem(U: float, V: float, samples: int = 0, seed: int = 0) -> Theor
 
 
 # ---------------------------------------------------------------------------
-# Table-based functionals.
+# Table-based functionals.  Each is a linear form in the nine cell
+# probabilities of each of its settings, or a ratio of two such forms, so
+# one coefficient row per setting defines it.  Cells are in the order of
+# JointDistribution.flat(): ++, +-, +0, -+, --, -0, 0+, 0-, 00, with the
+# first orientation's outcome by rows.
 
 PAIR_AB: SettingLabel = ("a", "b")
 PAIR_BPA: SettingLabel = ("b_prime", "a")
@@ -175,87 +173,107 @@ PAIR_APR: SettingLabel = ("a_prime", "r")
 PAIR_RBP: SettingLabel = ("r", "b_prime")
 PAIR_RR: SettingLabel = ("r", "r")
 
-
-def _singles_sum(d: JointDistribution) -> float:
-    """p+(first) + p-(first) + p+(second) + p-(second) from the marginals."""
-    return (d.first_marginal(P) + d.first_marginal(M)
-            + d.second_marginal(P) + d.second_marginal(M))
-
-
-def eval_ineq19(t: SettingsTable) -> InequalityReport:
-    """Expectation form of the main inequality; local bound -1."""
-    value = (
-        expectation(t.get(PAIR_AB))
-        + expectation(t.get(PAIR_BPA))
-        + expectation(t.get(PAIR_BAP))
-        - 2.0 * t.get(PAIR_APBP).prob(P, P)
-        - 2.0 * t.get(PAIR_APBP).prob(M, M)
-        + _singles_sum(t.get(PAIR_APBP))
-    )
-    return make_report("INEQ19", value, -1.0, GE)
+_E = np.array([1.0, -1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0])        # expectation
+_SAME = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])       # p(+,+) + p(-,-)
+_CROSS = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])      # p(+,-) + p(-,+)
+_COINC = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])      # detected on both sides
+_SINGLES = np.array([2.0, 2.0, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0, 0.0])    # p+ + p- on each side
 
 
-def eval_ineq17(t: SettingsTable) -> InequalityReport:
-    """Raw-probability form; algebraically identical to the expectation form."""
-    value = 0.0
-    for label in (PAIR_AB, PAIR_BPA, PAIR_BAP):
-        d = t.get(label)
-        value += d.prob(P, P) + d.prob(M, M) - d.prob(P, M) - d.prob(M, P)
-    d = t.get(PAIR_APBP)
-    value += -2.0 * d.prob(P, P) - 2.0 * d.prob(M, M) + _singles_sum(d)
-    return make_report("INEQ17", value, -1.0, GE)
+def _dot(cells: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Sum over settings and cells of cells (..., pairs, 9) times coef
+    (pairs, 9).  Each setting's term is summed first, then the terms in
+    setting order, like a sum of expectations: the optimizer's grid ties
+    can turn on the last bit of a margin."""
+    return (cells * coef).sum(axis=-1).sum(axis=-1)
 
 
-def eval_chsh(t: SettingsTable) -> InequalityReport:
-    value = (
-        expectation(t.get(PAIR_AB))
-        + expectation(t.get(PAIR_BPA))
-        + expectation(t.get(PAIR_BAP))
-        - expectation(t.get(PAIR_APBP))
-    )
-    return make_report("CHSH27", value, -2.0, GE)
+@dataclass(frozen=True, eq=False)
+class Functional:
+    """A table functional: numer . cells, or numer . cells / denom . cells.
 
-
-def eval_bell65(t: SettingsTable) -> InequalityReport:
-    value = (
-        expectation(t.get(PAIR_AB))
-        + expectation(t.get(PAIR_BPA))
-        + expectation(t.get(PAIR_BAP))
-    )
-    return make_report("BELL65_28", value, -1.0, GE)
-
-
-def eval_strong(t: SettingsTable, form: int = 41) -> InequalityReport:
-    """Ratio inequality; the reference-setting coincidence rate divides out.
-
-    Form 41 is the general-angle version.  Form 46 is its reduction under
-    the symmetry assumption with a' and b' along r, needing only the
-    reference (r, r) setting besides the three expectation settings.
+    ``numer`` and ``denom`` hold one row of nine cell coefficients per
+    entry of ``required_pairs``; ``denom`` is None for the linear forms.
     """
-    e_sum = (
-        expectation(t.get(PAIR_AB))
-        + expectation(t.get(PAIR_BPA))
-        + expectation(t.get(PAIR_BAP))
-    )
-    rr = t.get(PAIR_RR)
-    denom = rr.coincidence_sum()
-    if denom <= 0.0:
-        raise EvaluationError("no r,r coincidences")
-    if form == 41:
-        numer = (
-            e_sum
-            - 2.0 * t.get(PAIR_APBP).prob(P, P)
-            - 2.0 * t.get(PAIR_APBP).prob(M, M)
-            + t.get(PAIR_APR).coincidence_sum()
-            + t.get(PAIR_RBP).coincidence_sum()
-        )
-        ineq_id = "STRONG41"
-    elif form == 46:
-        numer = e_sum + 2.0 * rr.prob(P, M) + 2.0 * rr.prob(M, P)
-        ineq_id = "STRONG46"
-    else:
-        raise ValueError(f"form must be 41 or 46, got {form!r}")
-    return make_report(ineq_id, numer / denom, -1.0, GE)
+
+    id: str
+    required_pairs: tuple[SettingLabel, ...]
+    numer: np.ndarray
+    denom: Optional[np.ndarray]
+    bound: float
+    direction: str = GE
+
+    @property
+    def is_ratio(self) -> bool:
+        return self.denom is not None
+
+    def evaluate(self, table: SettingsTable) -> InequalityReport:
+        cells = [v for label in self.required_pairs for row in table.get(label).p for v in row]
+        return self._report(np.array(cells).reshape(-1, 9))
+
+    def estimate(self, counts: Mapping[SettingLabel, CountTable]) -> InequalityReport:
+        """Value at the per-setting frequencies, with its delta-method
+        standard error.
+
+        Each setting's counts are multinomial, so a term linear in its
+        frequencies with coefficients c has variance
+        (sum c_i^2 p_i - (sum c_i p_i)^2) / N; settings are independent, so
+        their variances add.  A ratio A/B is linearized with gradient
+        (a - (A/B) b) / B, which is first order and therefore approximate.
+        """
+        tables = []
+        for label in self.required_pairs:
+            if label not in counts:
+                raise MissingSettingError(f"missing setting {label!r}")
+            tables.append(counts[label])
+        sizes = np.array([c.total_pairs for c in tables], dtype=float)
+        if (sizes < 1).any():
+            raise EvaluationError("empty run")
+        cells = np.array([c.n for c in tables], dtype=float).reshape(-1, 9) / sizes[:, None]
+        return self._report(cells, sizes)
+
+    def margins(self, cells: np.ndarray) -> np.ndarray:
+        """Margins (positive means violated) at cell arrays of shape
+        (..., pairs, 9); -inf where a ratio has no reference coincidences."""
+        value = _dot(cells, self.numer)
+        ok = True
+        if self.denom is not None:
+            denom = _dot(cells, self.denom)
+            ok = denom > 0.0
+            value = value / np.where(ok, denom, 1.0)
+        margin = self.bound - value if self.direction == GE else value - self.bound
+        return np.where(ok, margin, -np.inf)
+
+    def _report(self, cells: np.ndarray, sizes: Optional[np.ndarray] = None) -> InequalityReport:
+        # One flat dot product per form: the cheapest call on a single table.
+        value = float(np.vdot(self.numer, cells))
+        grad = self.numer
+        if self.denom is not None:
+            denom = float(np.vdot(self.denom, cells))
+            if denom <= 0.0:
+                raise EvaluationError("no r,r coincidences")
+            value /= denom
+            grad = (self.numer - value * self.denom) / denom
+        stderr = None
+        if sizes is not None:
+            mean = (grad * cells).sum(axis=1)
+            second = (grad * grad * cells).sum(axis=1)
+            stderr = math.sqrt(float((np.maximum(0.0, second - mean * mean) / sizes).sum()))
+        return make_report(self.id, value, self.bound, self.direction, stderr)
+
+
+def _functional(ineq_id: str, bound: float, numer: Mapping[SettingLabel, np.ndarray],
+                denom: Optional[Mapping[SettingLabel, np.ndarray]] = None) -> Functional:
+    """Registry entry from per-setting coefficient rows; the settings are
+    the numerator's, then any the denominator adds."""
+    pairs = tuple(numer) + tuple(label for label in denom or () if label not in numer)
+
+    def rows(form: Mapping[SettingLabel, np.ndarray]) -> np.ndarray:
+        coef = np.array([form.get(label, np.zeros(9)) for label in pairs])
+        coef.setflags(write=False)  # shared by every caller
+        return coef
+
+    return Functional(ineq_id, pairs, rows(numer), None if denom is None else rows(denom), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -289,47 +307,68 @@ def eval_fc(params: ExperimentParams) -> InequalityReport:
 
 
 # ---------------------------------------------------------------------------
-# Registry of the table-based functionals (used by the LHV bound search,
-# the optimizer and the CLI).
+# Registry of the table-based functionals (read by evaluation, error bars,
+# the LHV bound search, the optimizer and the CLI).
 
-@dataclass(frozen=True)
-class Functional:
-    id: str
-    required_pairs: tuple[SettingLabel, ...]
-    evaluate: Callable[[SettingsTable], InequalityReport]
-    bound: float
-    direction: str
-    is_ratio: bool = False
+_E3 = {PAIR_AB: _E, PAIR_BPA: _E, PAIR_BAP: _E}
+# The raw-probability form 17 and the expectation form 19 are one linear
+# form: -2 p(+,+) - 2 p(-,-) plus all four singles at (a', b').
+_MAIN = {**_E3, PAIR_APBP: _SINGLES - 2.0 * _SAME}
 
+FUNCTIONALS: dict[str, Functional] = {f.id: f for f in (
+    _functional("INEQ17", -1.0, _MAIN),
+    _functional("INEQ19", -1.0, _MAIN),
+    _functional("CHSH27", -2.0, {**_E3, PAIR_APBP: -_E}),
+    _functional("BELL65_28", -1.0, _E3),
+    # The ratio forms divide out the reference-setting coincidence rate.
+    # Form 41 is the general-angle version; form 46 is its reduction with
+    # a' and b' along r, needing only (r, r) besides the three
+    # expectation settings.
+    _functional("STRONG41", -1.0,
+                {**_E3, PAIR_APBP: -2.0 * _SAME, PAIR_APR: _COINC, PAIR_RBP: _COINC},
+                {PAIR_RR: _COINC}),
+    _functional("STRONG46", -1.0, {**_E3, PAIR_RR: 2.0 * _CROSS}, {PAIR_RR: _COINC}),
+)}
 
-FUNCTIONALS: dict[str, Functional] = {
-    "INEQ17": Functional(
-        "INEQ17", (PAIR_AB, PAIR_BPA, PAIR_BAP, PAIR_APBP), eval_ineq17, -1.0, GE),
-    "INEQ19": Functional(
-        "INEQ19", (PAIR_AB, PAIR_BPA, PAIR_BAP, PAIR_APBP), eval_ineq19, -1.0, GE),
-    "CHSH27": Functional(
-        "CHSH27", (PAIR_AB, PAIR_BPA, PAIR_BAP, PAIR_APBP), eval_chsh, -2.0, GE),
-    "BELL65_28": Functional(
-        "BELL65_28", (PAIR_AB, PAIR_BPA, PAIR_BAP), eval_bell65, -1.0, GE),
-    "STRONG41": Functional(
-        "STRONG41",
-        (PAIR_AB, PAIR_BPA, PAIR_BAP, PAIR_APBP, PAIR_APR, PAIR_RBP, PAIR_RR),
-        lambda t: eval_strong(t, 41), -1.0, GE, is_ratio=True),
-    "STRONG46": Functional(
-        "STRONG46", (PAIR_AB, PAIR_BPA, PAIR_BAP, PAIR_RR),
-        lambda t: eval_strong(t, 46), -1.0, GE, is_ratio=True),
+# Orientations that a functional's reduced geometry sets along another:
+# the symmetric ratio form puts a' and b' along r, and the
+# three-orientation form uses one third direction on both sides (a' = b'),
+# which is what makes its same-angle correlation perfect.
+TIED_ORIENTATIONS: dict[str, dict[str, str]] = {
+    "STRONG46": {"a_prime": "r", "b_prime": "r"},
+    "BELL65_28": {"b_prime": "a_prime"},
 }
+
+
+def applicable_reports(
+    data: SettingsTable | Mapping[SettingLabel, CountTable],
+) -> list[InequalityReport]:
+    """Reports of every registry functional whose settings ``data`` holds,
+    in registry order.
+
+    ``data`` is a table of probabilities or a mapping of count tables;
+    counts are evaluated at the per-setting frequencies and each report
+    carries its standard error.  Ratio forms with no reference
+    coincidences are left out.
+    """
+    counted = not isinstance(data, SettingsTable)
+    reports = []
+    for f in FUNCTIONALS.values():
+        if all(label in data for label in f.required_pairs):
+            try:
+                reports.append(f.estimate(data) if counted else f.evaluate(data))
+            except EvaluationError:
+                continue
+    return reports
+
+
+# Short names accepted besides the full ids.
+_SHORT_IDS = {"CHSH": "CHSH27", "BELL65": "BELL65_28"}
 
 
 def normalize_functional_id(name: str) -> str:
     key = name.strip().upper()
-    aliases = {
-        "INEQ17": "INEQ17", "INEQ19": "INEQ19",
-        "CHSH": "CHSH27", "CHSH27": "CHSH27",
-        "BELL65": "BELL65_28", "BELL65_28": "BELL65_28",
-        "STRONG41": "STRONG41", "STRONG46": "STRONG46",
-        "CH47": "CH47", "FC48": "FC48",
-    }
-    if key not in aliases:
+    key = _SHORT_IDS.get(key, key)
+    if key not in FUNCTIONALS and key not in ("CH47", "FC48"):
         raise ValueError(f"unknown inequality {name!r}")
-    return aliases[key]
+    return key

@@ -4,21 +4,22 @@ A hidden state is represented by a :class:`ResponseFunction`: per side and
 per local orientation, a pair of conditional detection probabilities.
 Locality is structural; a side's response has no slot for the other
 side's orientation.  Ensembles are finite weighted mixtures, and local
-bounds are computed by enumerating deterministic strategies, which are
-the extreme points of the response box.  The ensemble probabilities are
-multilinear in the individual response probabilities, so the bound over
-deterministic strategies is the bound over all mixtures.
+bounds are computed by scoring every deterministic strategy, the extreme
+points of the response box, against a functional's coefficient rows.
+The ensemble probabilities are multilinear in the individual response
+probabilities, so the bound over deterministic strategies is the bound
+over all mixtures.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .inequalities import FUNCTIONALS, GE, Functional
+from .inequalities import FUNCTIONALS, GE, TIED_ORIENTATIONS, Functional
 from .model import (
     EvaluationError,
     JointDistribution,
@@ -29,8 +30,6 @@ from .model import (
 )
 
 EQ_TOL = 1e-12
-
-_OUTCOME_SYMBOL = {Outcome.PLUS: "+", Outcome.MINUS: "-", Outcome.NONE: "0"}
 
 
 @dataclass(frozen=True)
@@ -150,39 +149,49 @@ def ensemble_table(model: LhvModel, pairs: Iterable[SettingLabel]) -> SettingsTa
 
 CONSTRAINTS = ("none", "supplementary", "gr")
 
-# The reduced reference geometry of the symmetric ratio form sets a' and
-# b' physically along r, so their responses are the r responses.
-_TIED_SLOTS: dict[str, dict[str, str]] = {
-    "STRONG46": {"a_prime": "r", "b_prime": "r"},
-}
+_SIDE_OF = {"a": 1, "a_prime": 1, "b": 2, "b_prime": 2}
+_SYMBOLS = "+-0"  # outcome indices 0, 1, 2 of a deterministic slot
 
 
-def _orientation_slots(f: Functional, constraint: str) -> tuple[list[str], list[str]]:
-    tied = _TIED_SLOTS.get(f.id, {})
-    side1: list[str] = []
-    side2: list[str] = []
-    for label in f.required_pairs:
-        sides = label_sides(label)
-        for name, side in zip(label, sides):
-            name = tied.get(name, name)
-            target = side1 if side == 1 else side2
-            if name not in target:
-                target.append(name)
+def _orientation_slots(f: Functional, constraint: str) -> tuple[
+        list[str], list[str], list[tuple[tuple[int, str], tuple[int, str]]]]:
+    """Each side's slots and the ties between slots.
+
+    A slot is an orientation on one side.  A tied slot copies the response
+    of its target (see TIED_ORIENTATIONS); ``r`` sits on the tied slot's
+    side.  Tied slots follow the free ones, in the tie table's order.
+    """
+    tied = TIED_ORIENTATIONS.get(f.id, {})
+    used = [(side, name) for label in f.required_pairs
+            for name, side in zip(label, label_sides(label))]
+    ties = [((side, name), (_SIDE_OF.get(target, side), target))
+            for name, target in tied.items() for side in (1, 2) if (side, name) in used]
+    aliases = dict(ties)
+    sides: dict[int, list[str]] = {1: [], 2: []}
+    for slot in used:
+        side, name = aliases.get(slot, slot)
+        if name not in sides[side]:
+            sides[side].append(name)
     if constraint != "none" or f.is_ratio:
-        for target in (side1, side2):
-            if "r" not in target:
-                target.append("r")
-    return side1, side2
+        for names in sides.values():
+            if "r" not in names:
+                names.append("r")
+    for side, name in aliases:
+        sides[side].append(name)
+    return sides[1], sides[2], ties
 
 
-def _constraint_ok(rf: ResponseFunction, constraint: str) -> bool:
+def _admissible(outcomes: np.ndarray, names: list[str], constraint: str) -> np.ndarray:
+    """Which deterministic assignments of one side (rows of outcome
+    indices) meet the detection constraint, as check_supplementary and
+    check_gr judge them."""
+    detected = outcomes < 2
     if constraint == "none":
-        return True
+        return np.ones(len(outcomes), dtype=bool)
+    at_r = detected[:, [names.index("r")]]
     if constraint == "supplementary":
-        return check_supplementary(rf)
-    if constraint == "gr":
-        return check_gr(rf)
-    raise ValueError(f"unknown constraint {constraint!r}")
+        return ~(detected & ~at_r).any(axis=1)
+    return (detected == at_r).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -198,62 +207,54 @@ class BoundResult:
 def local_bound(functional: str, constraint: str = "none") -> BoundResult:
     """Exact extremum of a functional over all local models.
 
-    Enumerates every deterministic outcome assignment (at most 27 per
-    side); by multilinearity this extremum equals the extremum over all
-    weighted mixtures of stochastic response functions.  For ratio
-    functionals, strategies with no reference coincidences are excluded:
-    they contribute nothing to either side of the measured ratio.
+    Scores every deterministic outcome assignment (at most 27 per side)
+    against the functional's coefficient rows; by multilinearity this
+    extremum equals the extremum over all weighted mixtures of stochastic
+    response functions.  For ratio functionals, strategies with no
+    reference coincidences are excluded: they contribute nothing to
+    either side of the measured ratio.  The witness is the first
+    extremal strategy pair, side 1's assignment varying slowest.
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}")
     f = FUNCTIONALS[functional]
-    names1, names2 = _orientation_slots(f, constraint)
-    tied = _TIED_SLOTS.get(f.id, {})
-    # Which tied aliases each side actually uses, per the required pairs.
-    used1: set[str] = set()
-    used2: set[str] = set()
-    for label in f.required_pairs:
-        sides = label_sides(label)
-        for name, side in zip(label, sides):
-            (used1 if side == 1 else used2).add(name)
+    names1, names2, ties = _orientation_slots(f, constraint)
+    side1 = np.array(list(itertools.product(range(3), repeat=len(names1))))
+    side2 = np.array(list(itertools.product(range(3), repeat=len(names2))))
 
-    best: Optional[float] = None
-    best_witness: Optional[tuple[dict, dict]] = None
-    count = 0
-    outcomes = (Outcome.PLUS, Outcome.MINUS, Outcome.NONE)
-    for assign1 in itertools.product(outcomes, repeat=len(names1)):
-        o1 = dict(zip(names1, assign1))
-        for alias, target in tied.items():
-            if target in o1 and alias in used1:
-                o1.setdefault(alias, o1[target])
-        for assign2 in itertools.product(outcomes, repeat=len(names2)):
-            o2 = dict(zip(names2, assign2))
-            for alias, target in tied.items():
-                if target in o2 and alias in used2:
-                    o2.setdefault(alias, o2[target])
-            rf = ResponseFunction.deterministic(o1, o2)
-            if not _constraint_ok(rf, constraint):
-                continue
-            model = LhvModel((rf,), (1.0,))
-            try:
-                report = f.evaluate(ensemble_table(model, f.required_pairs))
-            except EvaluationError:
-                continue  # ratio with no (r, r) coincidences
-            count += 1
-            value = report.value
-            better = best is None or (
-                (value < best) if f.direction == GE else (value > best))
-            if better:
-                best = value
-                best_witness = (
-                    {n: _OUTCOME_SYMBOL[o] for n, o in o1.items()},
-                    {n: _OUTCOME_SYMBOL[o] for n, o in o2.items()},
-                )
-    if best is None:
+    def outcome(side: int, name: str) -> np.ndarray:
+        """Outcome indices of a slot, broadcast over (side 1, side 2) rows."""
+        if side == 1:
+            return side1[:, names1.index(name)][:, None]
+        return side2[:, names2.index(name)][None, :]
+
+    ok = (_admissible(side1, names1, constraint)[:, None]
+          & _admissible(side2, names2, constraint)[None, :])
+    for slot, target in ties:
+        ok = ok & (outcome(*slot) == outcome(*target))
+    numer = np.zeros(ok.shape)
+    denom = np.zeros(ok.shape)
+    for k, label in enumerate(f.required_pairs):
+        s1, s2 = label_sides(label)
+        cell = 3 * outcome(s1, label[0]) + outcome(s2, label[1])
+        numer += f.numer[k][cell]
+        if f.is_ratio:
+            denom += f.denom[k][cell]
+    value = numer
+    if f.is_ratio:
+        ok &= denom > 0.0
+        value = numer / np.where(ok, denom, 1.0)
+    score = np.where(ok, value if f.direction == GE else -value, np.inf)
+    i, j = divmod(int(np.argmin(score)), len(side2))
+    if not ok[i, j]:
         raise EvaluationError("no admissible strategy for this functional/constraint")
-    return BoundResult(functional, constraint, best, best_witness[0], best_witness[1], count)
+    return BoundResult(
+        functional, constraint, float(value[i, j]),
+        {n: _SYMBOLS[o] for n, o in zip(names1, side1[i])},
+        {n: _SYMBOLS[o] for n, o in zip(names2, side2[j])},
+        int(ok.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -12,22 +12,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .inequalities import (
-    FUNCTIONALS,
-    InequalityReport,
-    eval_ineq19,
-    make_report,
-)
+from .inequalities import InequalityReport, applicable_reports
 from .model import (
     CountTable,
     EvaluationError,
     JointDistribution,
-    Outcome,
     SettingLabel,
     SettingsTable,
     empirical_distribution,
@@ -101,106 +95,9 @@ def simulate(spec: RunSpec, workers: int = 1) -> RunResult:
     return RunResult(spec, counts, empirical, stderr)
 
 
-# ---------------------------------------------------------------------------
-# Reports with propagated statistical errors.  Each setting's counts are
-# multinomial; a functional term that is linear in one setting's cell
-# probabilities with coefficients c has variance
-# (sum c_i^2 p_i - (sum c_i p_i)^2) / N.  Settings are independent, so
-# their variances add.  For ratios the delta method is applied; this is
-# first order and therefore approximate.
-
-_E_COEF = (1.0, -1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-# -2 p(+,+) - 2 p(-,-) + all four singles, expanded over the 9 cells.
-_APBP_COEF = (0.0, 2.0, 1.0, 2.0, 0.0, 1.0, 1.0, 1.0, 0.0)
-_COINC_COEF = (1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-_CROSS_COEF = (0.0, 2.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # 2p(+,-) + 2p(-,+)
-
-
-def _linear_variance(p: Sequence[float], coef: Sequence[float], n: int) -> float:
-    mean = sum(c * pi for c, pi in zip(coef, p))
-    second = sum(c * c * pi for c, pi in zip(coef, p))
-    return max(0.0, second - mean * mean) / n
-
-
-def counts_to_empirical(counts: Mapping[SettingLabel, CountTable]) -> SettingsTable:
-    return SettingsTable({label: empirical_distribution(c) for label, c in counts.items()})
-
-
-def ineq19_with_error(counts: Mapping[SettingLabel, CountTable]) -> InequalityReport:
-    """Empirical main-inequality value with its propagated standard error."""
-    table = counts_to_empirical(counts)
-    base = eval_ineq19(table)
-    var = 0.0
-    for label in FUNCTIONALS["INEQ19"].required_pairs:
-        c = counts[label]
-        p = table.get(label).flat()
-        coef = _APBP_COEF if label == ("a_prime", "b_prime") else _E_COEF
-        var += _linear_variance(p, coef, c.total_pairs)
-    return make_report(base.id, base.value, base.bound, base.direction,
-                       stderr=math.sqrt(var))
-
-
-def estimate_strong46(counts: Mapping[SettingLabel, CountTable]) -> InequalityReport:
-    """Ratio estimate of the symmetric strong inequality from raw counts.
-
-    Both numerator and denominator are plain count sums (all settings
-    share N), so the unknown emission rate cancels: scaling every count
-    table by a common factor leaves the estimate unchanged.
-    """
-    e_labels = (("a", "b"), ("b_prime", "a"), ("b", "a_prime"))
-    rr_label: SettingLabel = ("r", "r")
-    if rr_label not in counts:
-        rr_label = ("a_prime", "b_prime")
-    for label in e_labels + (rr_label,):
-        if label not in counts:
-            raise EvaluationError(f"missing setting {label!r}")
-    P, M = Outcome.PLUS, Outcome.MINUS
-    rr = counts[rr_label]
-    denom = (rr.count(P, P) + rr.count(P, M) + rr.count(M, P) + rr.count(M, M))
-    if denom <= 0:
-        raise EvaluationError("no coincidences at r,r")
-    numer = 2 * rr.count(P, M) + 2 * rr.count(M, P)
-    for label in e_labels:
-        c = counts[label]
-        numer += (c.count(P, P) - c.count(P, M) - c.count(M, P) + c.count(M, M))
-    value = numer / denom
-
-    # Delta-method error: gradient of A/B w.r.t. each setting's counts.
-    var = 0.0
-    for label in e_labels:
-        c = counts[label]
-        p = empirical_distribution(c).flat()
-        grad = tuple(co / denom * c.total_pairs for co in _E_COEF)
-        var += _linear_variance(p, grad, 1) / c.total_pairs
-    p = empirical_distribution(rr).flat()
-    grad = tuple(
-        (cn * denom - numer * cd) / (denom * denom) * rr.total_pairs
-        for cn, cd in zip(_CROSS_COEF, _COINC_COEF)
-    )
-    var += _linear_variance(p, grad, 1) / rr.total_pairs
-    return make_report("STRONG46", value, -1.0, ">=", stderr=math.sqrt(var))
-
-
 def run_reports(counts: Mapping[SettingLabel, CountTable]) -> list[InequalityReport]:
-    """Every applicable report for a set of count tables, with error bars
-    where implemented."""
-    table = counts_to_empirical(counts)
-    reports: list[InequalityReport] = []
-    for fid, f in FUNCTIONALS.items():
-        if fid == "STRONG46":
-            # the estimator has its own fallback reference setting
-            try:
-                reports.append(estimate_strong46(counts))
-            except EvaluationError:
-                pass
-            continue
-        if any(label not in counts for label in f.required_pairs):
-            continue
-        if fid == "INEQ19":
-            reports.append(ineq19_with_error(counts))
-        else:
-            try:
-                reports.append(f.evaluate(table))
-            except EvaluationError:
-                pass
-    return reports
+    """Every applicable report for a set of count tables, each estimated
+    from the per-setting frequencies with its standard error."""
+    if any(c.total_pairs < 1 for c in counts.values()):
+        raise EvaluationError("empty run")
+    return applicable_reports(counts)

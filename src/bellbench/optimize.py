@@ -9,13 +9,21 @@ broken by the first (lexicographically smallest) angle tuple.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .inequalities import FUNCTIONALS, Functional, InequalityReport, normalize_functional_id
-from .model import AngleConfig, EvaluationError
-from .qm import ExperimentParams, settings_table
+import numpy as np
+
+from .inequalities import (
+    FUNCTIONALS,
+    TIED_ORIENTATIONS,
+    Functional,
+    InequalityReport,
+    normalize_functional_id,
+)
+from .model import AngleConfig
+from .qm import ExperimentParams, quantum_cells, settings_table
 
 _FREE_ORDER = ("a", "b", "a_prime", "b_prime", "r")
 
@@ -48,26 +56,35 @@ class OptimizationResult:
     canonical_differences: tuple[float, float, float, float]
 
 
+# The coarse grid is scored in blocks of this many points, which keeps
+# memory flat however many points the grid has.  Larger blocks are no
+# faster: a block's arrays already dwarf the per-block call overhead.
+_BLOCK = 1024
+
+
 def _constrain(problem: OptimizationProblem, config: AngleConfig) -> AngleConfig:
-    # Two functionals are only meaningful on a restricted geometry, and the
-    # search space is pinned accordingly: the symmetric ratio form needs a'
-    # and b' physically along the reference direction, and the
-    # three-orientation inequality shares its third direction between the
-    # sides (a' = b'), which is what makes its same-angle correlation
-    # perfect.
-    if problem.inequality == "STRONG46":
-        return config.replace(a_prime=config.r, b_prime=config.r)
-    if problem.inequality == "BELL65_28":
-        return config.replace(b_prime=config.a_prime)
-    return config
+    # Two functionals are only meaningful on a reduced geometry, and the
+    # search space is pinned accordingly (see TIED_ORIENTATIONS).
+    tied = TIED_ORIENTATIONS.get(problem.inequality, {})
+    return config.replace(**{name: getattr(config, target) for name, target in tied.items()})
 
 
-def _margin(problem: OptimizationProblem, f: Functional, config: AngleConfig) -> float:
-    table = settings_table(_constrain(problem, config), f.required_pairs, problem.params)
-    try:
-        return f.evaluate(table).margin
-    except EvaluationError:
-        return float("-inf")
+def _reduce(angles: np.ndarray) -> np.ndarray:
+    """reduce_angle over an array: a tiny negative can round up to 180."""
+    r = np.mod(angles, 180.0)
+    r[r == 180.0] = 0.0
+    return r
+
+
+def _margins(problem: OptimizationProblem, f: Functional, angles: np.ndarray) -> np.ndarray:
+    """Margins at rows of the five orientations (a, b, a', b', r)."""
+    angles = _reduce(angles)
+    for name, target in TIED_ORIENTATIONS.get(problem.inequality, {}).items():
+        angles[:, _FREE_ORDER.index(name)] = angles[:, _FREE_ORDER.index(target)]
+    first = [_FREE_ORDER.index(n1) for n1, _ in f.required_pairs]
+    second = [_FREE_ORDER.index(n2) for _, n2 in f.required_pairs]
+    delta = _reduce(angles[:, first] - angles[:, second])
+    return f.margins(quantum_cells(delta, problem.params))
 
 
 def optimize(
@@ -77,51 +94,53 @@ def optimize(
 ) -> OptimizationResult:
     """Exhaustive coarse grid, then coordinate descent with step halving.
 
-    Refinement accepts only strict improvements, so it never returns a
-    worse margin than its starting grid point, and ties stay at the
-    grid winner.
+    ``grid_step`` must divide 180 into a whole number of steps, up to
+    1e-9 in that number.  Grid ties go to the first point in product
+    order.  Refinement accepts only strict improvements, so it never
+    returns a worse margin than its starting grid point, and ties stay at
+    the grid winner.
     """
-    if grid_step <= 0 or 180.0 % grid_step != 0:
+    steps = 180.0 / grid_step if grid_step > 0 else math.nan
+    if not (math.isfinite(steps) and steps >= 1.0 and abs(steps - round(steps)) <= 1e-9):
         raise ValueError("grid_step must be positive and divide 180")
     if refine_tolerance <= 0:
         raise ValueError("refine_tolerance must be positive")
     f = FUNCTIONALS[problem.inequality]
-    free = tuple(sorted(problem.free_angles, key=_FREE_ORDER.index))
-    grid = [x * grid_step for x in range(int(round(180.0 / grid_step)))]
+    free = [_FREE_ORDER.index(name) for name in sorted(problem.free_angles, key=_FREE_ORDER.index)]
+    grid = np.arange(round(steps)) * grid_step
+    base = np.array([getattr(problem.base_config, name) for name in _FREE_ORDER])
 
-    best_angles: Optional[tuple[float, ...]] = None
-    best_margin = float("-inf")
-    for angles in itertools.product(grid, repeat=len(free)):
-        config = problem.base_config.replace(**dict(zip(free, angles)))
-        margin = _margin(problem, f, config)
-        if margin > best_margin:
-            best_margin = margin
-            best_angles = angles
+    n_points = len(grid) ** len(free)
+    best_index, best_margin = 0, -math.inf
+    for start in range(0, n_points, _BLOCK):
+        index = np.arange(start, min(start + _BLOCK, n_points))
+        angles = np.tile(base, (len(index), 1))
+        angles[:, free] = grid[np.stack(np.unravel_index(index, (len(grid),) * len(free)), axis=1)]
+        margins = _margins(problem, f, angles)
+        k = int(np.argmax(margins))
+        if margins[k] > best_margin:
+            best_index, best_margin = start + k, float(margins[k])
 
-    assert best_angles is not None
-    current = dict(zip(free, best_angles))
+    current = base.copy()
+    current[free] = grid[list(np.unravel_index(best_index, (len(grid),) * len(free)))]
     step = grid_step / 2.0
     while step >= refine_tolerance:
         improved = False
-        for name in free:
+        for column in free:
             while True:
-                moved = False
-                for delta in (step, -step):
-                    trial = dict(current)
-                    trial[name] = (current[name] + delta) % 180.0
-                    margin = _margin(problem, f, problem.base_config.replace(**trial))
-                    if margin > best_margin:
-                        best_margin = margin
-                        current = trial
-                        moved = True
-                        improved = True
-                        break
-                if not moved:
+                trials = np.tile(current, (2, 1))
+                trials[:, column] = np.mod(current[column] + np.array([step, -step]), 180.0)
+                margins = _margins(problem, f, trials)
+                moved = next((k for k in (0, 1) if margins[k] > best_margin), None)
+                if moved is None:
                     break
+                best_margin = float(margins[moved])
+                current = trials[moved]
+                improved = True
         if not improved:
             step /= 2.0
 
-    best_config = _constrain(problem, problem.base_config.replace(**current))
+    best_config = _constrain(problem, AngleConfig(*current))
     report = f.evaluate(settings_table(best_config, f.required_pairs, problem.params))
     return OptimizationResult(
-        best_config, report, best_margin, best_config.canonical_differences())
+        best_config, report, report.margin, best_config.canonical_differences())

@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .model import (
     AngleConfig,
     JointDistribution,
-    Outcome,
     SettingLabel,
     SettingsTable,
     reduce_angle,
@@ -35,18 +36,8 @@ def ideal_expectation(delta: float) -> float:
 
 
 def ideal_joint(delta: float) -> JointDistribution:
-    """Full outcome table for ideal polarizers and detectors.
-
-    p(+,+) = p(-,-) = cos^2(delta)/2, p(+,-) = p(-,+) = sin^2(delta)/2,
-    all NONE entries vanish and each single is 1/2.
-    """
-    d = math.radians(reduce_angle(delta))
-    c2 = math.cos(d) ** 2 / 2.0
-    s2 = math.sin(d) ** 2 / 2.0
-    P, M = Outcome.PLUS, Outcome.MINUS
-    return JointDistribution.from_entries({
-        (P, P): c2, (M, M): c2, (P, M): s2, (M, P): s2,
-    })
+    """Full outcome table for ideal polarizers and detectors."""
+    return _joint(quantum_cells(reduce_angle(delta)).tolist())
 
 
 def angular_correlation_g(phi_deg: float) -> float:
@@ -127,23 +118,52 @@ class ExperimentParams:
         return self.eta ** 2 * self.half_omega_fraction ** 2 * self.g
 
 
-def real_joint(params: ExperimentParams, delta: float) -> JointDistribution:
-    """Outcome table for real detectors at polarizer difference delta.
+def quantum_cells(delta: float | np.ndarray,
+                  params: Optional[ExperimentParams] = None) -> np.ndarray:
+    """Cell probabilities, shape ``delta.shape + (9,)`` in the order of
+    JointDistribution.flat(), at polarizer differences ``delta`` (degrees,
+    reduced to [0, 180)).  ``params=None`` selects the ideal experiment.
 
-    The coincidence block follows the standard cascade prediction
-    s*(1 +/- F cos 2 delta) with s = eta^2 (Omega/8pi)^2 g; the NONE
+    Ideal: p(+,+) = p(-,-) = cos^2(delta)/2 = (1 + cos 2 delta)/4 and
+    p(+,-) = p(-,+) = sin^2(delta)/2, written so that small cells keep
+    their relative precision; every NONE entry vanishes and each single
+    is 1/2.  Real: the coincidence block follows the cascade prediction
+    s (1 +/- F cos 2 delta) with s = eta^2 (Omega/8pi)^2 g; the NONE
     entries are the unique completion consistent with the singles
-    eta*Omega/8pi on each channel.
+    eta Omega/8pi on each channel.
     """
-    s = params.coincidence_scale()
-    fc = params.f * math.cos(math.radians(2.0 * reduce_angle(delta)))
-    same = s * (1.0 + fc)
-    diff = s * (1.0 - fc)
-    single = params.single_rate()
-    return JointDistribution.from_coincidence_block(
-        same, diff, diff, same,
-        single1=(single, single), single2=(single, single),
-    )
+    delta = np.asarray(delta, dtype=float)
+    cells = np.zeros(delta.shape + (9,))
+    if params is None:
+        d = np.radians(delta)
+        same = np.cos(d) ** 2 / 2.0
+        diff = np.sin(d) ** 2 / 2.0
+    else:
+        s = params.coincidence_scale()
+        fc = params.f * np.cos(np.radians(2.0 * delta))
+        same = s * (1.0 + fc)
+        diff = s * (1.0 - fc)
+        single = params.single_rate()
+        # NONE on one side, in JointDistribution.from_coincidence_block's
+        # order of operations, then (NONE, NONE) takes the rest.
+        lone_same = single - same - diff
+        lone_diff = single - diff - same
+        rest = 1.0 - (same + diff + diff + same + lone_same + lone_diff + lone_same + lone_diff)
+        cells[..., 2] = cells[..., 6] = np.maximum(lone_same, 0.0)
+        cells[..., 5] = cells[..., 7] = np.maximum(lone_diff, 0.0)
+        cells[..., 8] = np.maximum(rest, 0.0)
+    cells[..., 0] = cells[..., 4] = same
+    cells[..., 1] = cells[..., 3] = diff
+    return cells
+
+
+def _joint(p: list[float]) -> JointDistribution:
+    return JointDistribution((tuple(p[0:3]), tuple(p[3:6]), tuple(p[6:9])))
+
+
+def real_joint(params: ExperimentParams, delta: float) -> JointDistribution:
+    """Outcome table for real detectors at polarizer difference delta."""
+    return _joint(quantum_cells(reduce_angle(delta), params).tolist())
 
 
 def settings_table(
@@ -156,12 +176,6 @@ def settings_table(
     ``params=None`` selects the ideal experiment.  The distribution for a
     pair is a function of the reduced difference of its two orientations.
     """
-    entries = {}
-    for label in pairs:
-        n1, n2 = label
-        delta = config.difference(n1, n2)
-        if params is None:
-            entries[(n1, n2)] = ideal_joint(delta)
-        else:
-            entries[(n1, n2)] = real_joint(params, delta)
-    return SettingsTable(entries)
+    labels = [(n1, n2) for n1, n2 in pairs]
+    cells = quantum_cells([config.difference(n1, n2) for n1, n2 in labels], params).tolist()
+    return SettingsTable({label: _joint(row) for label, row in zip(labels, cells)})

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bellbench import (
+    FUNCTIONALS,
     AngleConfig,
     ExperimentParams,
     JointDistribution,
@@ -20,12 +21,8 @@ from bellbench import (
     SettingsTable,
     check_gr,
     check_supplementary,
-    eval_bell65,
     eval_ch,
-    eval_chsh,
     eval_fc,
-    eval_ineq19,
-    eval_strong,
     ideal_joint,
     local_bound,
     optimize,
@@ -104,15 +101,19 @@ def _random_closure_table(rng, perfect_primed_pair=False):
     return SettingsTable(entries)
 
 
+def value(fid, table):
+    return FUNCTIONALS[fid].evaluate(table).value
+
+
 def test_criterion_4_reduction_identities(capsys):
     start = time.monotonic()
     rng = np.random.default_rng(2026)
     worst_a = worst_b = 0.0
     for _ in range(10_000):
         t = _random_closure_table(rng)
-        worst_a = max(worst_a, abs(eval_ineq19(t).value - (eval_chsh(t).value + 1.0)))
+        worst_a = max(worst_a, abs(value("INEQ19", t) - (value("CHSH27", t) + 1.0)))
         t2 = _random_closure_table(rng, perfect_primed_pair=True)
-        worst_b = max(worst_b, abs(eval_chsh(t2).value - (eval_bell65(t2).value - 1.0)))
+        worst_b = max(worst_b, abs(value("CHSH27", t2) - (value("BELL65_28", t2) - 1.0)))
     elapsed = time.monotonic() - start
     report(capsys, "criterion 4 (reduction identities)",
            worst_a < 1e-12 and worst_b < 1e-12 and elapsed < 5.0,
@@ -126,11 +127,11 @@ def test_criterion_5_real_experiment_strong_inequality(capsys):
     params = ExperimentParams(eta=0.9, phi_deg=30.0)
     assert round(params.f, 2) == 0.99
     t = settings_table(OPTIMAL_ANGLES, ALL_PAIRS, params)
-    value = eval_strong(t, 46).value
+    value = FUNCTIONALS["STRONG46"].evaluate(t).value
     expected = 1.0 - 2.5 * params.f
     perfect = ExperimentParams(eta=0.9, phi_deg=30.0, f_override=1.0)
-    value_perfect = eval_strong(
-        settings_table(OPTIMAL_ANGLES, ALL_PAIRS, perfect), 46).value
+    value_perfect = FUNCTIONALS["STRONG46"].evaluate(
+        settings_table(OPTIMAL_ANGLES, ALL_PAIRS, perfect)).value
     elapsed = time.monotonic() - start
     ok = (abs(value - expected) < 1e-12 and abs(value - (-1.47008)) < 1e-5
           and abs(value_perfect - (-1.5)) < 1e-12 and elapsed < 1.0)

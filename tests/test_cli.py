@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bellbench.cli import main
+from bellbench.cli import _CONFIG_SECTIONS, main
 
 
 def run(capsys, *argv):
@@ -127,6 +127,20 @@ class TestSimulateEvaluate:
         code, _, _ = run(capsys, "evaluate", str(path))
         assert code == 2
 
+    def test_evaluate_strong46_from_per_setting_frequencies(self, capsys, tmp_path):
+        # Settings with unequal totals, every pair detected (+, +): each
+        # expectation is 1 and the (r, r) block has no cross counts, so
+        # the ratio is 3 whatever the totals.
+        path = tmp_path / "unequal.csv"
+        rows = ["setting,o1,o2,count_or_prob"]
+        for setting, total in (("a:b", 7), ("b_prime:a", 1), ("b:a_prime", 1), ("r:r", 1)):
+            rows.append(f"{setting},+,+,{total}")
+        path.write_text("\n".join(rows) + "\n")
+        code, out, _ = run(capsys, "evaluate", str(path), "--format", "json")
+        assert code == 0
+        reports = {r["id"]: r for r in json.loads(out)["reports"]}
+        assert reports["STRONG46"]["value"] == 3.0
+
     def test_evaluate_with_no_applicable_inequality(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         rows = ["setting,o1,o2,count_or_prob", "a:b,+,+,10", "a:b,-,-,10"]
@@ -200,6 +214,20 @@ class TestConfigFile:
         code, _, _ = run(capsys, "simulate", "--ideal", "--config", str(cfg),
                          "--angles", "0,0,0,0,0")
         assert code == 2
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, keys in _CONFIG_SECTIONS.items() for key in keys])
+    def test_wrong_value_type_is_usage_error(self, capsys, tmp_path, section, key):
+        # A number where a string belongs, a string anywhere else.
+        kind = _CONFIG_SECTIONS[section][key]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: 5 if "string" in kind else "0.9"}}))
+        code, out, err = run(capsys, "predict", "--ideal", "--angles", "0,0,0,0,0",
+                             "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{section}.{key}" in err
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -12,13 +12,8 @@ from bellbench import (
     JointDistribution,
     SettingsTable,
     TheoremPoint,
-    eval_bell65,
     eval_ch,
-    eval_chsh,
     eval_fc,
-    eval_ineq17,
-    eval_ineq19,
-    eval_strong,
     make_report,
     normalize_functional_id,
     settings_table,
@@ -28,6 +23,10 @@ from bellbench import (
 from conftest import ALL_PAIRS, OPTIMAL_ANGLES
 
 SQRT2 = math.sqrt(2.0)
+
+
+def value(fid, table):
+    return FUNCTIONALS[fid].evaluate(table).value
 
 
 # --- report plumbing -------------------------------------------------------
@@ -121,38 +120,38 @@ def closure_tables(rng, n):
 
 class TestFunctionalValues:
     def test_maximal_ideal_violation(self, optimal_ideal_table):
-        assert eval_ineq19(optimal_ideal_table).value == pytest.approx(-1.5, abs=1e-12)
-        assert eval_ineq17(optimal_ideal_table).value == pytest.approx(-1.5, abs=1e-12)
-        assert eval_chsh(optimal_ideal_table).value == pytest.approx(-2.5, abs=1e-12)
-        assert eval_bell65(optimal_ideal_table).value == pytest.approx(-1.5, abs=1e-12)
-        assert eval_strong(optimal_ideal_table, 41).value == pytest.approx(-1.5, abs=1e-12)
-        assert eval_strong(optimal_ideal_table, 46).value == pytest.approx(-1.5, abs=1e-12)
+        assert value("INEQ19", optimal_ideal_table) == pytest.approx(-1.5, abs=1e-12)
+        assert value("INEQ17", optimal_ideal_table) == pytest.approx(-1.5, abs=1e-12)
+        assert value("CHSH27", optimal_ideal_table) == pytest.approx(-2.5, abs=1e-12)
+        assert value("BELL65_28", optimal_ideal_table) == pytest.approx(-1.5, abs=1e-12)
+        assert value("STRONG41", optimal_ideal_table) == pytest.approx(-1.5, abs=1e-12)
+        assert value("STRONG46", optimal_ideal_table) == pytest.approx(-1.5, abs=1e-12)
 
     def test_chsh_optimum_angles(self):
         # differences (112.5, 112.5, 112.5, 22.5): three terms at cos 225
         # degrees and one at cos 45 degrees.
         cfg = AngleConfig(67.5, 135.0, 22.5, 0.0, 0.0)
         t = settings_table(cfg, ALL_PAIRS)
-        assert eval_chsh(t).value == pytest.approx(-2.0 * SQRT2, abs=1e-12)
+        assert value("CHSH27", t) == pytest.approx(-2.0 * SQRT2, abs=1e-12)
 
     def test_uniform_table_value(self):
         # Three correlation terms vanish; the remaining combination is
         # -2/9 - 2/9 + 4/3 = 8/9.
-        r = eval_ineq17(uniform_table())
+        r = FUNCTIONALS["INEQ17"].evaluate(uniform_table())
         assert r.value == pytest.approx(8.0 / 9.0, abs=1e-12)
         assert not r.violated
 
     def test_forms_17_and_19_agree_everywhere(self):
         rng = np.random.default_rng(11)
         for t in closure_tables(rng, 200):
-            assert eval_ineq17(t).value == pytest.approx(
-                eval_ineq19(t).value, abs=1e-12)
+            assert value("INEQ17", t) == pytest.approx(
+                value("INEQ19", t), abs=1e-12)
 
     def test_ineq19_is_chsh_plus_one_under_closure(self):
         rng = np.random.default_rng(12)
         for t in closure_tables(rng, 200):
-            assert eval_ineq19(t).value == pytest.approx(
-                eval_chsh(t).value + 1.0, abs=1e-12)
+            assert value("INEQ19", t) == pytest.approx(
+                value("CHSH27", t) + 1.0, abs=1e-12)
 
     def test_strong_ratio_needs_reference_coincidences(self):
         entries = dict(uniform_table().entries)
@@ -160,11 +159,7 @@ class TestFunctionalValues:
             (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
         entries[("r", "r")] = none_only
         with pytest.raises(EvaluationError):
-            eval_strong(SettingsTable(entries), 46)
-
-    def test_strong_form_argument(self):
-        with pytest.raises(ValueError):
-            eval_strong(uniform_table(), 40)
+            FUNCTIONALS["STRONG46"].evaluate(SettingsTable(entries))
 
     def test_strong_ratio_invariant_under_common_scaling(self):
         # Shrinking every coincidence rate by the same factor (more NONE)
@@ -178,9 +173,8 @@ class TestFunctionalValues:
                 cell[2][2] = 1.0 - sum(v for row in cell for v in row)
                 entries[label] = JointDistribution(tuple(tuple(row) for row in cell))
             scaled = SettingsTable(entries)
-            for form in (41, 46):
-                assert eval_strong(scaled, form).value == pytest.approx(
-                    eval_strong(t, form).value, abs=1e-10)
+            for fid in ("STRONG41", "STRONG46"):
+                assert value(fid, scaled) == pytest.approx(value(fid, t), abs=1e-10)
 
 
 class TestStrongRealApparatus:
@@ -188,13 +182,13 @@ class TestStrongRealApparatus:
         p = ExperimentParams(eta=0.9, phi_deg=30.0)
         t = settings_table(OPTIMAL_ANGLES, ALL_PAIRS, p)
         expected = 1.0 - 2.5 * p.f
-        assert eval_strong(t, 46).value == pytest.approx(expected, abs=1e-12)
-        assert eval_strong(t, 41).value == pytest.approx(expected, abs=1e-11)
+        assert value("STRONG46", t) == pytest.approx(expected, abs=1e-12)
+        assert value("STRONG41", t) == pytest.approx(expected, abs=1e-11)
 
     def test_perfect_contrast_recovers_ideal_violation(self):
         p = ExperimentParams(eta=0.9, phi_deg=30.0, f_override=1.0)
         t = settings_table(OPTIMAL_ANGLES, ALL_PAIRS, p)
-        assert eval_strong(t, 46).value == pytest.approx(-1.5, abs=1e-12)
+        assert value("STRONG46", t) == pytest.approx(-1.5, abs=1e-12)
 
 
 class TestOneChannelComparisons:

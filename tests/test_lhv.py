@@ -121,7 +121,7 @@ class TestLocalBounds:
         ("INEQ19", "supplementary"): -1.0,
         ("INEQ19", "gr"): -1.0,
         ("CHSH27", "none"): -2.0,
-        ("BELL65_28", "none"): -3.0,
+        ("BELL65_28", "none"): -1.0,
         ("STRONG41", "supplementary"): -1.0,
         ("STRONG46", "supplementary"): -1.0,
         ("STRONG46", "gr"): -1.0,
@@ -132,16 +132,28 @@ class TestLocalBounds:
         r = local_bound(fid, constraint)
         assert r.bound == pytest.approx(self.EXPECTED[(fid, constraint)], abs=1e-12)
 
-    def test_witness_achieves_bound(self):
-        r = local_bound("INEQ19", "none")
+    @staticmethod
+    def witness_value(r):
         sym = {"+": P, "-": M, "0": N}
         rf = ResponseFunction.deterministic(
             {k: sym[v] for k, v in r.witness_side1.items()},
             {k: sym[v] for k, v in r.witness_side2.items()})
         model = LhvModel((rf,), (1.0,))
-        f = FUNCTIONALS["INEQ19"]
-        value = f.evaluate(ensemble_table(model, f.required_pairs)).value
-        assert value == pytest.approx(r.bound, abs=1e-12)
+        f = FUNCTIONALS[r.functional]
+        return f.evaluate(ensemble_table(model, f.required_pairs)).value
+
+    def test_witness_achieves_bound(self):
+        r = local_bound("INEQ19", "none")
+        assert self.witness_value(r) == pytest.approx(r.bound, abs=1e-12)
+
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("fid", list(FUNCTIONALS))
+    def test_registry_bound_matches_engine(self, fid, constraint):
+        # Every bound in the registry is the engine's exact extremum, and
+        # its witness, tied slots included, attains it.
+        r = local_bound(fid, constraint)
+        assert r.bound == FUNCTIONALS[fid].bound
+        assert self.witness_value(r) == r.bound
 
     def test_constraint_only_tightens(self):
         for fid in ("INEQ19", "STRONG41"):

@@ -3,11 +3,11 @@ import math
 import pytest
 
 from bellbench import (
+    FUNCTIONALS,
     CountTable,
     EvaluationError,
+    ExperimentParams,
     RunSpec,
-    estimate_strong46,
-    ineq19_with_error,
     run_reports,
     settings_table,
     simulate,
@@ -65,12 +65,12 @@ class TestSimulate:
 
 class TestErrorPropagation:
     def test_ineq19_error_scales_like_inverse_sqrt_n(self):
-        small = ineq19_with_error(simulate(make_spec(n=10_000)).counts)
-        large = ineq19_with_error(simulate(make_spec(n=1_000_000)).counts)
+        small = FUNCTIONALS["INEQ19"].estimate(simulate(make_spec(n=10_000)).counts)
+        large = FUNCTIONALS["INEQ19"].estimate(simulate(make_spec(n=1_000_000)).counts)
         assert small.stderr == pytest.approx(10.0 * large.stderr, rel=0.2)
 
     def test_ineq19_estimate_is_consistent(self):
-        report = ineq19_with_error(simulate(make_spec(n=500_000)).counts)
+        report = FUNCTIONALS["INEQ19"].estimate(simulate(make_spec(n=500_000)).counts)
         assert abs(report.value - (-1.5)) <= 5.0 * report.stderr
 
     def test_strong46_scale_invariance(self):
@@ -80,17 +80,35 @@ class TestErrorPropagation:
                               2 * c.total_pairs)
             for label, c in counts.items()
         }
-        assert estimate_strong46(doubled).value == estimate_strong46(counts).value
+        strong46 = FUNCTIONALS["STRONG46"]
+        assert strong46.estimate(doubled).value == strong46.estimate(counts).value
 
     def test_strong46_consistent_with_analytic(self):
-        report = estimate_strong46(simulate(make_spec(n=500_000)).counts)
+        report = FUNCTIONALS["STRONG46"].estimate(simulate(make_spec(n=500_000)).counts)
         assert abs(report.value - (-1.5)) <= 5.0 * report.stderr
+
+    def test_stderr_covers_the_analytic_value(self):
+        # Over 300 seeded runs of 2000 pairs per setting, the estimate
+        # lands within 1.96 standard errors of the analytic value about 95%
+        # of the time, for every table functional.
+        params = ExperimentParams(eta=0.9, phi_deg=70.0)
+        config = OPTIMAL_ANGLES.replace(a=50.0, b=110.0, b_prime=15.0)
+        analytic = settings_table(config, ALL_PAIRS, params)
+        truth = {fid: f.evaluate(analytic).value for fid, f in FUNCTIONALS.items()}
+        covered = dict.fromkeys(FUNCTIONALS, 0)
+        runs = 300
+        for seed in range(runs):
+            spec = RunSpec(pairs_per_setting=2000, seed=seed, settings=analytic)
+            for r in run_reports(simulate(spec).counts):
+                covered[r.id] += abs(r.value - truth[r.id]) <= 1.96 * r.stderr
+        for fid, hits in covered.items():
+            assert 0.90 <= hits / runs <= 0.99, (fid, hits)
 
     def test_strong46_needs_reference_counts(self):
         empty = CountTable(((0, 0, 0), (0, 0, 0), (0, 0, 10)), 10)
         counts = {label: empty for label in ALL_PAIRS}
         with pytest.raises(EvaluationError):
-            estimate_strong46(counts)
+            FUNCTIONALS["STRONG46"].estimate(counts)
 
 
 class TestRunReports:
@@ -114,6 +132,5 @@ class TestRunReports:
         ids = {r.id for r in run_reports(only_four)}
         assert "STRONG41" not in ids
         assert "INEQ19" in ids
-        # the symmetric ratio falls back to the (a', b') block when no
-        # dedicated reference setting was recorded
-        assert "STRONG46" in ids
+        # the symmetric ratio needs its own (r, r) reference setting
+        assert "STRONG46" not in ids

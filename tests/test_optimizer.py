@@ -39,7 +39,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             optimize(p, grid_step=7.0)
         with pytest.raises(ValueError):
+            optimize(p, grid_step=0.0)
+        with pytest.raises(ValueError):
             optimize(p, grid_step=5.0, refine_tolerance=0.0)
+
+    def test_grid_step_dividing_180_up_to_rounding(self):
+        # 180 % 0.1 is not 0 in floating point, yet 180 / 0.1 is 1800 steps.
+        r = optimize(OptimizationProblem("CHSH27", ("a",), ZERO), grid_step=0.1)
+        assert r.best_margin >= 0.0
 
 
 class TestRecovery:
