@@ -35,7 +35,7 @@ from .model import (
     SettingsTable,
 )
 from .montecarlo import RunSpec, run_reports, simulate
-from .optimize import OptimizationProblem, optimize
+from .optimize import GridBudgetError, OptimizationProblem, optimize
 from .qm import ExperimentParams, settings_table
 
 ALL_PAIRS = (
@@ -218,6 +218,7 @@ def read_table_csv(path: str):
 
     is_counts = all("." not in r[3] and "e" not in r[3].lower() for r in rows)
     grouped: dict[tuple[str, str], list[list[float]]] = {}
+    seen = set()
     for setting, o1, o2, value in rows:
         parts = setting.split(":")
         if len(parts) != 2:
@@ -225,6 +226,9 @@ def read_table_csv(path: str):
         label = (parts[0], parts[1])
         if o1 not in _FROM_SYMBOL or o2 not in _FROM_SYMBOL:
             raise ConfigError(f"bad outcome symbols in row for {setting!r}")
+        if (label, o1, o2) in seen:
+            raise ConfigError(f"duplicate row for setting {setting!r}, outcomes ({o1},{o2})")
+        seen.add((label, o1, o2))
         cell = grouped.setdefault(label, [[0.0] * 3 for _ in range(3)])
         try:
             cell[_FROM_SYMBOL[o1]][_FROM_SYMBOL[o2]] = (
@@ -315,8 +319,13 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("number of pairs per setting required (--pairs)")
     seed = _default_seed(args.seed if args.seed is not None else run_cfg.get("seed"))
     threads = args.threads if args.threads is not None else run_cfg.get("threads", 1)
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     analytic = settings_table(config, ALL_PAIRS, params)
-    spec = RunSpec(pairs_per_setting=pairs, seed=seed, settings=analytic)
+    try:
+        spec = RunSpec(pairs_per_setting=pairs, seed=seed, settings=analytic)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = simulate(spec, workers=threads)
     reports = run_reports(result.counts)
     if args.counts_out:
@@ -363,7 +372,10 @@ def _cmd_optimize(args) -> int:
         problem = OptimizationProblem(ineq, free, base, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    result = optimize(problem, grid_step=grid_step, refine_tolerance=refine)
+    try:
+        result = optimize(problem, grid_step=grid_step, refine_tolerance=refine)
+    except GridBudgetError as exc:
+        raise ConfigError(str(exc)) from exc
     out = sys.stdout
     if args.format == "json":
         payload = {
@@ -514,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", help="five orientations a,b,a',b',r in degrees")
     p.add_argument("--pairs", type=int, help="emitted pairs per setting")
     p.add_argument("--seed", type=int, help="RNG seed (default: BELLBENCH_SEED or 0)")
-    p.add_argument("--threads", type=int, help="worker threads (identical results)")
+    p.add_argument("--threads", type=int,
+                   help="accepted for compatibility; no effect (one draw per setting)")
     p.add_argument("--counts-out", dest="counts_out", help="write counts CSV here")
     p.set_defaults(func=_cmd_simulate)
 

@@ -288,13 +288,20 @@ def _single_channel_rate(params: ExperimentParams, delta_deg: float) -> float:
     )
 
 
+def _pair_rate_no_polarizers(params: ExperimentParams) -> float:
+    """The one-channel forms' denominator, which is 0 when nothing is detected."""
+    rate = params.pair_rate_no_polarizers()
+    if rate == 0.0:
+        raise EvaluationError("no coincidences without polarizers (pair rate is 0)")
+    return rate
+
+
 def eval_ch(params: ExperimentParams, phi_setting: float = 22.5) -> InequalityReport:
     """One-channel inequality needing five measured rates; bound 0 from above."""
     p1 = _single_channel_rate(params, phi_setting)
     p3 = _single_channel_rate(params, 3.0 * phi_setting)
     p_one = params.pair_rate_one_polarizer()
-    p_none = params.pair_rate_no_polarizers()
-    value = (3.0 * p1 - p3 - 2.0 * p_one) / p_none
+    value = (3.0 * p1 - p3 - 2.0 * p_one) / _pair_rate_no_polarizers(params)
     return make_report("CH47", value, 0.0, LE)
 
 
@@ -302,7 +309,7 @@ def eval_fc(params: ExperimentParams) -> InequalityReport:
     """One-channel inequality with fixed 22.5/67.5 degree settings; bound 0.25."""
     value = (
         _single_channel_rate(params, 22.5) - _single_channel_rate(params, 67.5)
-    ) / params.pair_rate_no_polarizers()
+    ) / _pair_rate_no_polarizers(params)
     return make_report("FC48", value, 0.25, LE)
 
 

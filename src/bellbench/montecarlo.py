@@ -1,16 +1,16 @@
 """Seeded Monte Carlo simulation of finite-statistics coincidence runs.
 
-Each emitted pair is one categorical draw over the 9 outcome pairs of its
-setting's joint distribution.  Sampling is counter-based: every setting
-gets its own Philox stream keyed by (seed, setting index), and chunks
-address the stream by absolute pair index, so the result is bit-identical
-for any number of worker threads or chunk layout.
+Each emitted pair lands in one of the 9 outcome pairs of its setting's
+joint distribution, so a setting's counts over N pairs are exactly
+Multinomial(N, p).  Each setting takes one multinomial draw from its own
+Philox stream keyed by (seed, setting index) (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11): its counts depend only on
+(seed, setting index, N, p), and the cost of a run does not grow with N.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -27,8 +27,8 @@ from .model import (
     empirical_distribution,
 )
 
-# Philox emits doubles in blocks of four; chunk offsets must stay aligned.
-_CHUNK = 1 << 18
+# numpy's multinomial counts in signed 64-bit integers.
+MAX_PAIRS = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,10 @@ class RunSpec:
     settings: SettingsTable
 
     def __post_init__(self) -> None:
-        if self.pairs_per_setting < 1:
-            raise ValueError("pairs_per_setting must be >= 1")
+        n = self.pairs_per_setting
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_PAIRS:
+            raise ValueError(
+                f"pairs_per_setting must be an integer in [1, {MAX_PAIRS}], got {n!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
@@ -56,38 +58,31 @@ class RunResult:
     stderr: Mapping[SettingLabel, tuple[float, ...]]
 
 
-def _sample_setting(dist: JointDistribution, n: int, key: int, workers: int) -> CountTable:
-    probs = np.array(dist.flat())
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    offsets = [(off, min(_CHUNK, n - off)) for off in range(0, n, _CHUNK)]
-
-    def one_chunk(off_size: tuple[int, int]) -> np.ndarray:
-        off, size = off_size
-        bg = Philox(key=key, counter=[off // 4, 0, 0, 0])
-        u = Generator(bg).random(size)
-        idx = np.searchsorted(cum, u, side="right")
-        return np.bincount(idx, minlength=9)
-
-    if workers > 1 and len(offsets) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_chunk, offsets))
-    else:
-        partials = [one_chunk(o) for o in offsets]
-    total = np.sum(partials, axis=0)
+def _sample_setting(dist: JointDistribution, n: int, key: int) -> CountTable:
+    # JointDistribution admits cells down to -PROB_TOL, which numpy rejects.
+    # Only cells of positive probability take part in the draw, so a zero
+    # cell never receives the remainder that numpy assigns to the last cell.
+    probs = np.clip(np.array(dist.flat()), 0.0, None)
+    live = probs > 0.0
+    total = np.zeros(9, dtype=np.int64)
+    total[live] = Generator(Philox(key=key)).multinomial(n, probs[live] / probs[live].sum())
     counts = tuple(tuple(int(v) for v in total[i * 3:(i + 1) * 3]) for i in range(3))
     return CountTable(counts, n)
 
 
 def simulate(spec: RunSpec, workers: int = 1) -> RunResult:
-    """Run every setting; deterministic in (seed, setting order, N)."""
+    """Run every setting; deterministic in (seed, setting order, N).
+
+    ``workers`` is accepted for compatibility and has no effect: a run is
+    one multinomial draw per setting, whose cost does not depend on N.
+    """
     counts: dict[SettingLabel, CountTable] = {}
     empirical: dict[SettingLabel, JointDistribution] = {}
     stderr: dict[SettingLabel, tuple[float, ...]] = {}
     n = spec.pairs_per_setting
     for index, label in enumerate(spec.settings):
         key = (index << 64) | spec.seed
-        table = _sample_setting(spec.settings.get(label), n, key, workers)
+        table = _sample_setting(spec.settings.get(label), n, key)
         counts[label] = table
         emp = empirical_distribution(table)
         empirical[label] = emp

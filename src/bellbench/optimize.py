@@ -61,6 +61,26 @@ class OptimizationResult:
 # faster: a block's arrays already dwarf the per-block call overhead.
 _BLOCK = 1024
 
+# The largest coarse grid optimize will score: several seconds at the
+# roughly 10^6 points per second the block scorer reaches on one core.
+MAX_GRID_POINTS = 10 ** 7
+
+
+class GridBudgetError(ValueError):
+    """The coarse grid has more than MAX_GRID_POINTS points."""
+
+
+def grid_points(n_free: int, grid_step: float) -> int:
+    """Number of coarse-grid points over ``n_free`` angles at ``grid_step``.
+
+    ``grid_step`` must divide 180 into a whole number of steps, up to
+    1e-9 in that number.
+    """
+    steps = 180.0 / grid_step if grid_step > 0 else math.nan
+    if not (math.isfinite(steps) and steps >= 1.0 and abs(steps - round(steps)) <= 1e-9):
+        raise ValueError("grid_step must be positive and divide 180")
+    return round(steps) ** n_free
+
 
 def _constrain(problem: OptimizationProblem, config: AngleConfig) -> AngleConfig:
     # Two functionals are only meaningful on a reduced geometry, and the
@@ -94,23 +114,24 @@ def optimize(
 ) -> OptimizationResult:
     """Exhaustive coarse grid, then coordinate descent with step halving.
 
-    ``grid_step`` must divide 180 into a whole number of steps, up to
-    1e-9 in that number.  Grid ties go to the first point in product
-    order.  Refinement accepts only strict improvements, so it never
-    returns a worse margin than its starting grid point, and ties stay at
-    the grid winner.
+    ``grid_step`` must be valid for ``grid_points``, and the grid may have
+    at most MAX_GRID_POINTS points (``GridBudgetError`` otherwise).  Grid
+    ties go to the first point in product order.  Refinement accepts only
+    strict improvements, so it never returns a worse margin than its
+    starting grid point, and ties stay at the grid winner.
     """
-    steps = 180.0 / grid_step if grid_step > 0 else math.nan
-    if not (math.isfinite(steps) and steps >= 1.0 and abs(steps - round(steps)) <= 1e-9):
-        raise ValueError("grid_step must be positive and divide 180")
+    free = [_FREE_ORDER.index(name) for name in sorted(problem.free_angles, key=_FREE_ORDER.index)]
+    n_points = grid_points(len(free), grid_step)
+    if n_points > MAX_GRID_POINTS:
+        raise GridBudgetError(
+            f"grid of {n_points} points exceeds the budget of {MAX_GRID_POINTS}; "
+            "use a larger grid_step or fewer free angles")
     if refine_tolerance <= 0:
         raise ValueError("refine_tolerance must be positive")
     f = FUNCTIONALS[problem.inequality]
-    free = [_FREE_ORDER.index(name) for name in sorted(problem.free_angles, key=_FREE_ORDER.index)]
-    grid = np.arange(round(steps)) * grid_step
+    grid = np.arange(round(180.0 / grid_step)) * grid_step
     base = np.array([getattr(problem.base_config, name) for name in _FREE_ORDER])
 
-    n_points = len(grid) ** len(free)
     best_index, best_margin = 0, -math.inf
     for start in range(0, n_points, _BLOCK):
         index = np.arange(start, min(start + _BLOCK, n_points))

@@ -51,6 +51,14 @@ class TestPredict:
                          "--angles", "0,0,0,0,0", "--ineq", "ch47")
         assert code == 2
 
+    @pytest.mark.parametrize("ineq", ["ch47", "fc48"])
+    def test_one_channel_form_at_zero_pair_rate(self, capsys, ineq):
+        code, out, err = run(capsys, "predict", "--eta", "0", "--phi", "30",
+                             "--angles", "60,120,0,0,0", "--ineq", ineq)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_csv_format_has_17_digit_values(self, capsys):
         code, out, _ = run(capsys, "predict", "--ideal",
                            "--angles", "60,120,0,0,0", "--format", "csv")
@@ -80,6 +88,26 @@ class TestSimulateEvaluate:
         _, out1, _ = run(capsys, *args, "--threads", "1")
         _, out4, _ = run(capsys, *args, "--threads", "4")
         assert out1 == out4
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--pairs", "0"), ("--pairs", str(2 ** 63)), ("--pairs", "100000000000000000000"),
+        ("--threads", "0"), ("--threads", "-3")])
+    def test_run_size_and_threads_out_of_range(self, capsys, flag, value):
+        code, out, err = run(capsys, "simulate", "--ideal", "--angles", "60,120,0,0,0",
+                             "--pairs", "1000", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [
+        ("pairs_per_setting", 2 ** 63), ("pairs_per_setting", 0), ("threads", 0)])
+    def test_run_config_out_of_range(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {"pairs_per_setting": 1000, key: value}}))
+        code, _, err = run(capsys, "simulate", "--ideal", "--angles", "60,120,0,0,0",
+                           "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("BELLBENCH_SEED", "99")
@@ -141,6 +169,16 @@ class TestSimulateEvaluate:
         reports = {r["id"]: r for r in json.loads(out)["reports"]}
         assert reports["STRONG46"]["value"] == 3.0
 
+    def test_evaluate_rejects_duplicate_row(self, capsys, tmp_path):
+        path = tmp_path / "dup.csv"
+        rows = ["setting,o1,o2,count_or_prob", "a:b,+,+,5", "a:b,+,+,1"]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "evaluate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "a:b" in err and "(+,+)" in err
+
     def test_evaluate_with_no_applicable_inequality(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         rows = ["setting,o1,o2,count_or_prob", "a:b,+,+,10", "a:b,-,-,10"]
@@ -185,6 +223,14 @@ class TestOtherCommands:
     def test_unknown_functional(self, capsys):
         code, _, _ = run(capsys, "lhv-bound", "nope")
         assert code == 2
+
+
+    def test_optimize_grid_over_budget(self, capsys):
+        code, out, err = run(capsys, "optimize", "--ideal", "--ineq", "chsh",
+                             "--free", "a,b,a_prime", "--grid-step", "0.001")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -7,7 +8,9 @@ from bellbench import (
     CountTable,
     EvaluationError,
     ExperimentParams,
+    JointDistribution,
     RunSpec,
+    SettingsTable,
     run_reports,
     settings_table,
     simulate,
@@ -28,6 +31,16 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             RunSpec(pairs_per_setting=10, seed=2 ** 64, settings=t)
 
+    @pytest.mark.parametrize("pairs", [0, -1, 2 ** 63, 10 ** 20, True, 10.0, "100"])
+    def test_pairs_outside_the_multinomial_range(self, pairs):
+        t = settings_table(OPTIMAL_ANGLES, ALL_PAIRS)
+        with pytest.raises(ValueError):
+            RunSpec(pairs_per_setting=pairs, seed=1, settings=t)
+
+    def test_largest_run_size_is_accepted(self):
+        t = settings_table(OPTIMAL_ANGLES, ALL_PAIRS)
+        assert RunSpec(pairs_per_setting=2 ** 63 - 1, seed=1, settings=t)
+
 
 class TestSimulate:
     def test_counts_conserve_pairs(self):
@@ -45,13 +58,34 @@ class TestSimulate:
 
     @pytest.mark.parametrize("workers", [2, 4, 7])
     def test_worker_count_is_invisible(self, workers):
-        # Chunks address the random stream by absolute pair index, so the
-        # thread layout cannot change a single draw.
+        # A setting's counts are one draw from a stream keyed by (seed,
+        # setting index); the worker count takes no part in it.
         n = (1 << 18) * 2 + 12345  # force several unequal chunks
         spec = make_spec(n=n)
         serial = simulate(spec, workers=1)
         threaded = simulate(spec, workers=workers)
         assert all(serial.counts[l].n == threaded.counts[l].n for l in ALL_PAIRS)
+
+    def test_cost_does_not_grow_with_run_size(self):
+        spec = make_spec(n=10 ** 12)
+        start = time.perf_counter()
+        result = simulate(spec)
+        assert time.perf_counter() - start < 0.5
+        for label in ALL_PAIRS:
+            assert sum(result.counts[label].flat()) == 10 ** 12
+        report = FUNCTIONALS["INEQ19"].estimate(result.counts)
+        assert abs(report.value - (-1.5)) <= 5.0 * report.stderr
+
+    def test_cells_below_zero_get_no_counts(self):
+        # JointDistribution accepts cells down to -1e-12; the last cell is
+        # the one a multinomial draw fills with whatever is left over.
+        dist = JointDistribution(((0.5, 0.25, 0.0), (0.25, 0.0, 0.0), (0.0, 0.0, -1e-13)))
+        spec = RunSpec(pairs_per_setting=10 ** 9, seed=3,
+                       settings=SettingsTable({("a", "b"): dist}))
+        counts = simulate(spec).counts[("a", "b")]
+        assert sum(counts.flat()) == 10 ** 9
+        for p, n in zip(dist.flat(), counts.flat()):
+            assert n == 0 if p <= 0.0 else n > 0
 
     def test_empirical_tracks_analytic(self):
         spec = make_spec(n=200_000)

@@ -8,6 +8,7 @@ from bellbench import (
     OptimizationProblem,
     optimize,
 )
+from bellbench.optimize import MAX_GRID_POINTS, GridBudgetError, grid_points
 
 SQRT2 = math.sqrt(2.0)
 ZERO = AngleConfig(0, 0, 0, 0, 0)
@@ -42,6 +43,19 @@ class TestProblemValidation:
             optimize(p, grid_step=0.0)
         with pytest.raises(ValueError):
             optimize(p, grid_step=5.0, refine_tolerance=0.0)
+
+    def test_grid_budget_boundary(self):
+        # 3162^2 points fit the budget and 3163^2 do not; only the larger
+        # grid is handed to optimize, which rejects it before scoring.
+        assert grid_points(2, 180.0 / 3162) == 3162 ** 2 <= MAX_GRID_POINTS
+        assert grid_points(2, 180.0 / 3163) == 3163 ** 2 > MAX_GRID_POINTS
+        assert grid_points(1, 180.0 / MAX_GRID_POINTS) == MAX_GRID_POINTS
+        p = OptimizationProblem("CHSH27", ("a", "b"), ZERO)
+        with pytest.raises(GridBudgetError):
+            optimize(p, grid_step=180.0 / 3163)
+        with pytest.raises(GridBudgetError):
+            optimize(OptimizationProblem("CHSH27", ("a", "b", "a_prime"), ZERO),
+                     grid_step=0.001)
 
     def test_grid_step_dividing_180_up_to_rounding(self):
         # 180 % 0.1 is not 0 in floating point, yet 180 / 0.1 is 1800 steps.
