@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .inequalities import (
     FUNCTIONALS,
+    MAX_THEOREM_SAMPLES,
     InequalityReport,
     applicable_reports,
     eval_ch,
@@ -25,7 +26,7 @@ from .inequalities import (
     normalize_functional_id,
     verify_theorem,
 )
-from .lhv import CONSTRAINTS, ensemble_table, local_bound, sample_random_model
+from .lhv import CONSTRAINTS, MAX_STRATEGIES, ensemble_table, local_bound, sample_random_model
 from .model import (
     AngleConfig,
     CountTable,
@@ -406,6 +407,8 @@ def _cmd_verify_theorem(args) -> int:
     seed = _default_seed(args.seed if args.seed is not None else th.get("seed"))
     if U < 0 or V < 0:
         raise ConfigError("U and V must be non-negative")
+    if not 0 <= samples <= MAX_THEOREM_SAMPLES:
+        raise ConfigError(f"samples must be in [0, {MAX_THEOREM_SAMPLES}], got {samples}")
     report = verify_theorem(U, V, samples=samples, seed=seed)
     out = sys.stdout
     if args.format == "json":
@@ -449,7 +452,17 @@ def _cmd_lhv_bound(args) -> int:
     return 0
 
 
+# The most models one lhv-sample run draws: about a minute at the roughly
+# 0.5 ms a four-strategy model takes to draw and evaluate.
+MAX_MODELS = 10 ** 5
+
+
 def _cmd_lhv_sample(args) -> int:
+    if not 1 <= args.models <= MAX_MODELS:
+        raise ConfigError(f"--models must be in [1, {MAX_MODELS}], got {args.models}")
+    if not 1 <= args.strategies <= MAX_STRATEGIES:
+        raise ConfigError(
+            f"--strategies must be in [1, {MAX_STRATEGIES}], got {args.strategies}")
     try:
         fid = normalize_functional_id(args.functional)
     except ValueError as exc:

@@ -131,17 +131,16 @@ def ensemble_table(model: LhvModel, pairs: Iterable[SettingLabel]) -> SettingsTa
     The orientation labels alone identify the responses; the physical
     angles never enter a hidden-variable prediction.
     """
-    entries = {}
-    for label in pairs:
-        n1, n2 = label
-        s1, s2 = label_sides(label)
-        table = np.zeros((3, 3))
-        for rf, w in zip(model.strategies, model.weights):
-            q1 = np.array(rf.response(s1, n1))
-            q2 = np.array(rf.response(s2, n2))
-            table += w * np.outer(q1, q2)
-        entries[label] = JointDistribution(tuple(tuple(float(v) for v in row) for row in table))
-    return SettingsTable(entries)
+    labels = list(pairs)
+    sides = [label_sides(label) for label in labels]
+    slots = dict.fromkeys(slot for label, pair in zip(labels, sides) for slot in zip(pair, label))
+    # Every strategy's (q+, q-, q_none) at each slot the pairs read.
+    responses = {slot: [rf.response(*slot) for rf in model.strategies] for slot in slots}
+    first = np.array([responses[s1, n1] for (n1, _), (s1, _) in zip(labels, sides)])
+    second = np.array([responses[s2, n2] for (_, n2), (_, s2) in zip(labels, sides)])
+    tables = np.einsum("s,psi,psj->pij", np.array(model.weights), first, second)
+    return SettingsTable({label: JointDistribution(tuple(map(tuple, table)))
+                          for label, table in zip(labels, tables.tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -260,60 +259,81 @@ def local_bound(functional: str, constraint: str = "none") -> BoundResult:
 # ---------------------------------------------------------------------------
 # Random model generation for property testing and the sampling CLI.
 
-def _sample_channel(rng: np.random.Generator) -> tuple[float, float]:
-    """Uniform draw from the triangle q+ >= 0, q- >= 0, q+ + q- <= 1."""
-    u, v = rng.random(2)
-    if u + v > 1.0:
-        u, v = 1.0 - u, 1.0 - v
-    return (float(u), float(v))
+# The most strategies one random model may mix.  A model's responses are
+# drawn as one array, 12 doubles per strategy.
+MAX_STRATEGIES = 10 ** 4
+
+_ORIENTATIONS = (("a", "a_prime", "r"), ("b", "b_prime", "r"))
+_PRIMED = ("a_prime", "b_prime")
+
+
+def _draw_strategies(
+    rng: np.random.Generator,
+    n: int,
+    constraint: str,
+    orientations: tuple[Sequence[str], Sequence[str]],
+    tie_primed_to_r: bool,
+) -> tuple[ResponseFunction, ...]:
+    """``n`` response functions drawn uniformly from the constrained region.
+
+    All responses come from one array of uniforms, strategies x side x
+    slot x (q+, q-), with each side's ``r`` slot first.  Without a
+    constraint, and under ``supplementary``, a slot's pair is uniform on
+    the triangle q+, q- >= 0, q+ + q- <= 1: a pair above the diagonal is
+    reflected through (1/2, 1/2).  ``supplementary`` then redraws the
+    strategies that check_supplementary rejects until none remain.  The
+    ``gr`` region has measure zero, so it is sampled by construction: each
+    side's detection total is the second uniform of its first slot, and
+    each slot splits it by its own first uniform.  A tied primed slot, and
+    the slots that pad the shorter side, copy the side's first slot.
+    """
+    if constraint not in CONSTRAINTS:
+        raise ValueError(f"unknown constraint {constraint!r}")
+    names = [sorted(side, key=lambda name: name != "r") for side in orientations]
+    if constraint == "supplementary" and not all(side and side[0] == "r" for side in names):
+        raise ValueError("supplementary sampling needs an r slot on each side")
+    width = max(map(len, names))
+    copies = np.array([[k >= len(side) or (tie_primed_to_r and side[0] == "r"
+                                           and side[k] in _PRIMED) for k in range(width)]
+                       for side in names])[:, :, None]
+
+    def draw(count: int) -> np.ndarray:
+        u = rng.random((count, 2, width, 2))
+        if constraint == "gr":
+            split = u[..., :1]
+            q = np.concatenate((split, 1.0 - split), axis=-1) * u[:, :, :1, 1:]
+        else:
+            q = np.where(u.sum(axis=-1, keepdims=True) > 1.0, 1.0 - u, u)
+        return np.where(copies, q[:, :, :1], q)
+
+    def rejected(q: np.ndarray) -> np.ndarray:
+        """Strategies with a channel above its side's total at r."""
+        total_r = q[:, :, :1].sum(axis=-1, keepdims=True)
+        return (q[:, :, 1:] > total_r + EQ_TOL).any(axis=(1, 2, 3))
+
+    q = draw(n)
+    if constraint == "supplementary":
+        redo = np.flatnonzero(rejected(q))
+        while redo.size:
+            q[redo] = draw(redo.size)
+            redo = redo[rejected(q[redo])]
+    return tuple(
+        ResponseFunction(*({name: tuple(pair) for name, pair in zip(side, slots)}
+                           for side, slots in zip(names, strategy)))
+        for strategy in q.tolist())
 
 
 def sample_response_function(
     rng: np.random.Generator,
     constraint: str = "none",
-    side1_orientations: Sequence[str] = ("a", "a_prime", "r"),
-    side2_orientations: Sequence[str] = ("b", "b_prime", "r"),
+    side1_orientations: Sequence[str] = _ORIENTATIONS[0],
+    side2_orientations: Sequence[str] = _ORIENTATIONS[1],
     tie_primed_to_r: bool = False,
 ) -> ResponseFunction:
-    """Draw one response function uniformly from the constrained region.
-
-    The unconstrained and supplementary regions are sampled by rejection.
-    The equality-constrained region has measure zero, so it is sampled by
-    construction: a common per-side detection total, split independently
-    per orientation.
-    """
-    if constraint not in CONSTRAINTS:
-        raise ValueError(f"unknown constraint {constraint!r}")
-
-    def build() -> ResponseFunction:
-        sides = []
-        for orientations in (side1_orientations, side2_orientations):
-            # Sample r first so primed slots can alias it when tied.
-            ordered = sorted(orientations, key=lambda n: n != "r")
-            slots: dict[str, tuple[float, float]] = {}
-            if constraint == "gr":
-                total = float(rng.random())
-                for name in ordered:
-                    if tie_primed_to_r and name in ("a_prime", "b_prime") and "r" in slots:
-                        slots[name] = slots["r"]
-                        continue
-                    u = float(rng.random())
-                    slots[name] = (u * total, (1.0 - u) * total)
-            else:
-                for name in ordered:
-                    if tie_primed_to_r and name in ("a_prime", "b_prime") and "r" in slots:
-                        slots[name] = slots["r"]
-                        continue
-                    slots[name] = _sample_channel(rng)
-            sides.append(slots)
-        return ResponseFunction(sides[0], sides[1])
-
-    if constraint == "supplementary":
-        while True:
-            rf = build()
-            if check_supplementary(rf):
-                return rf
-    return build()
+    """Draw one response function uniformly from the constrained region
+    (see _draw_strategies)."""
+    return _draw_strategies(rng, 1, constraint, (side1_orientations, side2_orientations),
+                            tie_primed_to_r)[0]
 
 
 def sample_random_model(
@@ -323,14 +343,11 @@ def sample_random_model(
     tie_primed_to_r: bool = False,
 ) -> LhvModel:
     """Deterministic function of the seed; weights from a normalized
-    uniform draw."""
-    if n_strategies < 1:
-        raise ValueError("n_strategies must be >= 1")
+    uniform draw, then every strategy's responses in one draw."""
+    if not 1 <= n_strategies <= MAX_STRATEGIES:
+        raise ValueError(f"n_strategies must be in [1, {MAX_STRATEGIES}], got {n_strategies}")
     rng = np.random.default_rng(seed)
     raw = rng.random(n_strategies) + 1e-9
     weights = raw / raw.sum()
-    strategies = tuple(
-        sample_response_function(rng, constraint, tie_primed_to_r=tie_primed_to_r)
-        for _ in range(n_strategies)
-    )
-    return LhvModel(strategies, tuple(float(w) for w in weights))
+    strategies = _draw_strategies(rng, n_strategies, constraint, _ORIENTATIONS, tie_primed_to_r)
+    return LhvModel(strategies, tuple(weights.tolist()))

@@ -44,6 +44,8 @@ class OptimizationProblem:
         for name in self.free_angles:
             if name not in _FREE_ORDER:
                 raise ValueError(f"unknown angle {name!r}")
+        if len(set(self.free_angles)) != len(self.free_angles):
+            raise ValueError(f"free angles repeat a name: {','.join(self.free_angles)}")
         if self.inequality not in FUNCTIONALS:
             raise ValueError(f"inequality {self.inequality!r} is not optimizable over angles")
 

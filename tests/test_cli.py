@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from bellbench.cli import _CONFIG_SECTIONS, main
+from bellbench.cli import _CONFIG_SECTIONS, MAX_MODELS, main
+from bellbench.inequalities import MAX_THEOREM_SAMPLES
+from bellbench.lhv import MAX_STRATEGIES
 
 
 def run(capsys, *argv):
@@ -228,6 +230,36 @@ class TestOtherCommands:
     def test_optimize_grid_over_budget(self, capsys):
         code, out, err = run(capsys, "optimize", "--ideal", "--ineq", "chsh",
                              "--free", "a,b,a_prime", "--grid-step", "0.001")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_optimize_repeated_free_angle(self, capsys):
+        code, out, err = run(capsys, "optimize", "--ideal", "--ineq", "chsh",
+                             "--free", "a,a", "--grid-step", "30")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("samples", ["-1", str(MAX_THEOREM_SAMPLES + 1), "10" * 8])
+    def test_verify_theorem_samples_out_of_range(self, capsys, samples):
+        code, out, err = run(capsys, "verify-theorem", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_verify_theorem_config_samples_out_of_range(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorem": {"samples": MAX_THEOREM_SAMPLES + 1}}))
+        code, out, err = run(capsys, "verify-theorem", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--models", 0), ("--models", MAX_MODELS + 1),
+        ("--strategies", 0), ("--strategies", MAX_STRATEGIES + 1)])
+    def test_lhv_sample_size_out_of_range(self, capsys, flag, value):
+        code, out, err = run(capsys, "lhv-sample", "--functional", "ineq19", flag, str(value))
         assert code == 2
         assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1

@@ -20,6 +20,8 @@ from bellbench import (
     verify_theorem,
     z_value,
 )
+from bellbench import inequalities
+from bellbench.inequalities import MAX_THEOREM_SAMPLES
 from conftest import ALL_PAIRS, OPTIMAL_ANGLES
 
 SQRT2 = math.sqrt(2.0)
@@ -94,6 +96,32 @@ class TestTheorem:
     def test_rejects_negative_caps(self):
         with pytest.raises(ValueError):
             verify_theorem(-1.0, 1.0)
+
+    @pytest.mark.parametrize("samples", [1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
+    def test_blocked_minimum_keeps_the_sample_stream(self, samples):
+        # The blocks hold the rows of one default_rng(seed).random((n, 8))
+        # draw, scored here by the 19-term expansion written out.
+        U, V, seed = 1.3, 0.7, 11
+        x = np.random.default_rng(seed).random((samples, 8)) * [U, U, U, U, V, V, V, V]
+        x1p, x1m, x2p, x2m, y1p, y1m, y2p, y2m = x.T
+        z = (x1p * y1p + x1m * y1m - x1p * y1m - x1m * y1p
+             + y2p * x1p + y2m * x1m - y2p * x1m - y2m * x1p
+             + y1p * x2p + y1m * x2m - y1p * x2m - y1m * x2p
+             - 2.0 * x2p * y2p - 2.0 * x2m * y2m
+             + V * x2p + V * x2m + U * y2p + U * y2m + U * V)
+        got = verify_theorem(U, V, samples=samples, seed=seed).min_sampled_value
+        assert got == pytest.approx(z.min(), rel=1e-12)
+
+    def test_sample_budget(self, monkeypatch):
+        # The boundary is checked on the count alone; no sample is drawn.
+        with pytest.raises(ValueError, match="samples"):
+            verify_theorem(1.0, 1.0, samples=MAX_THEOREM_SAMPLES + 1)
+        with pytest.raises(ValueError, match="samples"):
+            verify_theorem(1.0, 1.0, samples=-1)
+        monkeypatch.setattr(inequalities, "MAX_THEOREM_SAMPLES", 3)
+        assert verify_theorem(1.0, 1.0, samples=3).min_sampled_value >= 0.0
+        with pytest.raises(ValueError, match="samples"):
+            verify_theorem(1.0, 1.0, samples=4)
 
 
 # --- functionals on settings tables ---------------------------------------

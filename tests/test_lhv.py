@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from bellbench.lhv import MAX_STRATEGIES
+from conftest import ALL_PAIRS
+
 from bellbench import (
     CONSTRAINTS,
     FUNCTIONALS,
@@ -13,6 +16,7 @@ from bellbench import (
     check_supplementary,
     ensemble_table,
     expectation,
+    label_sides,
     local_bound,
     sample_random_model,
     sample_response_function,
@@ -112,6 +116,17 @@ class TestEnsembleTable:
         for label in (("a", "b"), ("r", "r")):
             assert sum(t.get(label).flat()) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    def test_matches_a_loop_over_strategies(self, constraint):
+        for seed in range(20):
+            model = sample_random_model(seed, 5, constraint, tie_primed_to_r=seed % 2 == 1)
+            t = ensemble_table(model, ALL_PAIRS)
+            for label in ALL_PAIRS:
+                (n1, n2), (s1, s2) = label, label_sides(label)
+                expected = sum(w * np.outer(rf.response(s1, n1), rf.response(s2, n2))
+                               for rf, w in zip(model.strategies, model.weights))
+                np.testing.assert_allclose(t.get(label).p, expected, rtol=0, atol=1e-15)
+
 
 class TestLocalBounds:
     # Frozen results of the exhaustive deterministic-strategy enumeration.
@@ -155,6 +170,37 @@ class TestLocalBounds:
         assert r.bound == FUNCTIONALS[fid].bound
         assert self.witness_value(r) == r.bound
 
+    # Bound, witness per side (each slot's name and outcome) and strategies
+    # examined, as the engine has given them since the linear-form registry.
+    RESULTS = {
+        ("INEQ17", "none"): (-1.0, "a+ a_prime+", "b- b_prime+", 81),
+        ("INEQ17", "supplementary"): (-1.0, "a+ a_prime+ r+", "b- b_prime+ r+", 361),
+        ("INEQ17", "gr"): (-1.0, "a+ a_prime+ r+", "b- b_prime+ r+", 81),
+        ("INEQ19", "none"): (-1.0, "a+ a_prime+", "b- b_prime+", 81),
+        ("INEQ19", "supplementary"): (-1.0, "a+ a_prime+ r+", "b- b_prime+ r+", 361),
+        ("INEQ19", "gr"): (-1.0, "a+ a_prime+ r+", "b- b_prime+ r+", 81),
+        ("CHSH27", "none"): (-2.0, "a+ a_prime+", "b- b_prime+", 81),
+        ("CHSH27", "supplementary"): (-2.0, "a+ a_prime+ r+", "b- b_prime+ r+", 361),
+        ("CHSH27", "gr"): (-2.0, "a+ a_prime+ r+", "b- b_prime+ r+", 81),
+        ("BELL65_28", "none"): (-1.0, "a+ a_prime+", "b- b_prime+", 27),
+        ("BELL65_28", "supplementary"): (-1.0, "a+ a_prime+ r+", "b- r+ b_prime+", 121),
+        ("BELL65_28", "gr"): (-1.0, "a+ a_prime+ r+", "b- r+ b_prime+", 33),
+        ("STRONG41", "none"): (-1.0, "a+ a_prime+ r+", "b- b_prime+ r+", 324),
+        ("STRONG41", "supplementary"): (-1.0, "a+ a_prime+ r+", "b- b_prime+ r+", 324),
+        ("STRONG41", "gr"): (-1.0, "a+ a_prime+ r+", "b- b_prime+ r+", 64),
+        ("STRONG46", "none"): (-1.0, "a+ r+ a_prime+", "b- r+ b_prime+", 36),
+        ("STRONG46", "supplementary"): (-1.0, "a+ r+ a_prime+", "b- r+ b_prime+", 36),
+        ("STRONG46", "gr"): (-1.0, "a+ r+ a_prime+", "b- r+ b_prime+", 16),
+    }
+
+    @pytest.mark.parametrize("fid,constraint", sorted(RESULTS))
+    def test_frozen_results(self, fid, constraint):
+        r = local_bound(fid, constraint)
+        bound, side1, side2, n = self.RESULTS[fid, constraint]
+        assert (r.bound, r.n_strategies) == (bound, n)
+        for got, text in ((r.witness_side1, side1), (r.witness_side2, side2)):
+            assert list(got.items()) == [(slot[:-1], slot[-1]) for slot in text.split()]
+
     def test_constraint_only_tightens(self):
         for fid in ("INEQ19", "STRONG41"):
             free = local_bound(fid, "none").bound
@@ -186,6 +232,34 @@ class TestSampling:
                 assert check_supplementary(rf)
             elif constraint == "gr":
                 assert check_gr(rf, tol=1e-9)
+
+    @pytest.mark.parametrize("tie", [False, True])
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    def test_drawn_strategies_meet_their_constraint(self, constraint, tie):
+        for seed in range(200):
+            for rf in sample_random_model(seed, 4, constraint, tie_primed_to_r=tie).strategies:
+                if constraint != "none":
+                    assert check_supplementary(rf)
+                if constraint == "gr":
+                    assert check_gr(rf, tol=1e-12)
+                if tie:
+                    assert rf.side1["a_prime"] == rf.side1["r"]
+                    assert rf.side2["b_prime"] == rf.side2["r"]
+
+    def test_sides_of_different_length(self):
+        rng = np.random.default_rng(3)
+        for constraint in CONSTRAINTS:
+            rf = sample_response_function(rng, constraint, ("a", "r"), ("b", "b_prime", "r"))
+            assert set(rf.side1) == {"a", "r"} and set(rf.side2) == {"b", "b_prime", "r"}
+            assert constraint == "none" or check_supplementary(rf)
+        with pytest.raises(ValueError):
+            sample_response_function(rng, "supplementary", ("a",), ("b", "r"))
+
+    def test_strategy_cap(self):
+        assert len(sample_random_model(0, MAX_STRATEGIES).strategies) == MAX_STRATEGIES
+        for n in (0, MAX_STRATEGIES + 1):
+            with pytest.raises(ValueError):
+                sample_random_model(0, n)
 
     def test_tie_primed_to_r(self):
         rng = np.random.default_rng(5)

@@ -27,6 +27,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             OptimizationProblem("INEQ19", (), ZERO)
 
+    def test_repeated_free_angle(self):
+        with pytest.raises(ValueError, match="repeat"):
+            OptimizationProblem("CHSH27", ("a", "a"), ZERO)
+        with pytest.raises(ValueError, match="repeat"):
+            OptimizationProblem("CHSH27", ("a", "b", "a"), ZERO)
+
     def test_id_normalization(self):
         p = OptimizationProblem("chsh", ("a", "b"), ZERO)
         assert p.inequality == "CHSH27"
