@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
 
 from .inequalities import (
     FUNCTIONALS,
-    MAX_THEOREM_SAMPLES,
     InequalityReport,
     applicable_reports,
     eval_ch,
@@ -369,6 +369,8 @@ def _cmd_optimize(args) -> int:
     grid_step = args.grid_step if args.grid_step is not None else opt_cfg.get("grid_step", 5.0)
     refine = (args.refine_tol if args.refine_tol is not None
               else opt_cfg.get("refine_tolerance", 0.01))
+    if not (math.isfinite(refine) and refine > 0):
+        raise ConfigError(f"refine tolerance must be finite and positive, got {refine!r}")
     try:
         problem = OptimizationProblem(ineq, free, base, params)
     except ValueError as exc:
@@ -405,11 +407,10 @@ def _cmd_verify_theorem(args) -> int:
     V = args.V if args.V is not None else th.get("V", 1.0)
     samples = args.samples if args.samples is not None else th.get("samples", 0)
     seed = _default_seed(args.seed if args.seed is not None else th.get("seed"))
-    if U < 0 or V < 0:
-        raise ConfigError("U and V must be non-negative")
-    if not 0 <= samples <= MAX_THEOREM_SAMPLES:
-        raise ConfigError(f"samples must be in [0, {MAX_THEOREM_SAMPLES}], got {samples}")
-    report = verify_theorem(U, V, samples=samples, seed=seed)
+    try:
+        report = verify_theorem(U, V, samples=samples, seed=seed)
+    except ValueError as exc:  # a box or sample count out of range
+        raise ConfigError(str(exc)) from exc
     out = sys.stdout
     if args.format == "json":
         json.dump({
@@ -456,6 +457,10 @@ def _cmd_lhv_bound(args) -> int:
 # 0.5 ms a four-strategy model takes to draw and evaluate.
 MAX_MODELS = 10 ** 5
 
+# The most strategies one lhv-sample run draws over all its models: about
+# a minute too, at the roughly 25 us a strategy of a large model takes.
+MAX_DRAWN_STRATEGIES = 2 * 10 ** 6
+
 
 def _cmd_lhv_sample(args) -> int:
     if not 1 <= args.models <= MAX_MODELS:
@@ -463,6 +468,10 @@ def _cmd_lhv_sample(args) -> int:
     if not 1 <= args.strategies <= MAX_STRATEGIES:
         raise ConfigError(
             f"--strategies must be in [1, {MAX_STRATEGIES}], got {args.strategies}")
+    if args.models * args.strategies > MAX_DRAWN_STRATEGIES:
+        raise ConfigError(
+            f"--models times --strategies must be at most {MAX_DRAWN_STRATEGIES}, "
+            f"got {args.models} * {args.strategies}")
     try:
         fid = normalize_functional_id(args.functional)
     except ValueError as exc:

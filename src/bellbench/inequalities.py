@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -93,14 +93,18 @@ class TheoremPoint:
     V: float
 
     def __post_init__(self) -> None:
-        if self.U < 0 or self.V < 0:
-            raise ValueError("U and V must be non-negative")
+        _check_box(self.U, self.V)
         for v in (self.x1p, self.x1m, self.x2p, self.x2m):
             if not 0.0 <= v <= self.U:
                 raise ValueError(f"x value {v!r} outside [0, {self.U}]")
         for v in (self.y1p, self.y1m, self.y2p, self.y2m):
             if not 0.0 <= v <= self.V:
                 raise ValueError(f"y value {v!r} outside [0, {self.V}]")
+
+
+def _check_box(U: float, V: float) -> None:
+    if not (math.isfinite(U) and math.isfinite(V) and U >= 0 and V >= 0):
+        raise ValueError(f"U and V must be finite and non-negative, got U={U!r}, V={V!r}")
 
 
 def _z_array(x: np.ndarray, U: float, V: float) -> np.ndarray:
@@ -155,8 +159,7 @@ def verify_theorem(U: float, V: float, samples: int = 0, seed: int = 0) -> Theor
     blocks: the generator fills arrays in C order, so the blocks hold
     exactly the rows of that single draw.
     """
-    if U < 0 or V < 0:
-        raise ValueError("U and V must be non-negative")
+    _check_box(U, V)
     if not 0 <= samples <= MAX_THEOREM_SAMPLES:
         raise ValueError(f"samples must be in [0, {MAX_THEOREM_SAMPLES}], got {samples}")
     caps = np.array([U, U, U, U, V, V, V, V])
@@ -205,12 +208,17 @@ _COINC = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])      # detected
 _SINGLES = np.array([2.0, 2.0, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0, 0.0])    # p+ + p- on each side
 
 
-def _dot(cells: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Sum over settings and cells of cells (..., pairs, 9) times coef
-    (pairs, 9).  Each setting's term is summed first, then the terms in
-    setting order, like a sum of expectations: the optimizer's grid ties
-    can turn on the last bit of a margin."""
-    return (cells * coef).sum(axis=-1).sum(axis=-1)
+def _dot(cells: Sequence[np.ndarray], coef: np.ndarray) -> np.ndarray:
+    """Sum over settings of cells[p] (..., 9) times the row coef[p] (9,).
+
+    Each setting's term is summed over its cells first, then the terms
+    are added in setting order by broadcasting, like a sum of
+    expectations.  The optimizer's grid computes a setting's cells once
+    per distinct pair of its orientations; every point still gets the
+    same roundings in the same order, so grid ties, which can turn on the
+    last bit of a margin, do not depend on how the grid is split into
+    slabs.  Rows of zeros add exact zeros and are skipped."""
+    return sum((c * row).sum(axis=-1) for c, row in zip(cells, coef) if row.any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,9 +265,10 @@ class Functional:
         cells = np.array([c.n for c in tables], dtype=float).reshape(-1, 9) / sizes[:, None]
         return self._report(cells, sizes)
 
-    def margins(self, cells: np.ndarray) -> np.ndarray:
-        """Margins (positive means violated) at cell arrays of shape
-        (..., pairs, 9); -inf where a ratio has no reference coincidences."""
+    def margins(self, cells: Sequence[np.ndarray]) -> np.ndarray:
+        """Margins (positive means violated) from one cell array per entry
+        of ``required_pairs``, of shapes (..., 9) that broadcast together;
+        -inf where a ratio has no reference coincidences."""
         value = _dot(cells, self.numer)
         ok = True
         if self.denom is not None:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from bellbench.cli import _CONFIG_SECTIONS, MAX_MODELS, main
+from bellbench import cli
+from bellbench.cli import _CONFIG_SECTIONS, MAX_DRAWN_STRATEGIES, MAX_MODELS, main
 from bellbench.inequalities import MAX_THEOREM_SAMPLES
 from bellbench.lhv import MAX_STRATEGIES
 
@@ -253,6 +254,64 @@ class TestOtherCommands:
         cfg.write_text(json.dumps({"theorem": {"samples": MAX_THEOREM_SAMPLES + 1}}))
         code, out, err = run(capsys, "verify-theorem", "--config", str(cfg))
         assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_optimize_refine_tolerance_out_of_range(self, capsys, tol):
+        code, out, err = run(capsys, "optimize", "--ideal", "--ineq", "chsh",
+                             "--free", "a,b", "--grid-step", "30", f"--refine-tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_optimize_config_refine_tolerance_out_of_range(self, capsys, tmp_path, tol):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimize": {"refine_tolerance": tol}}))
+        code, out, err = run(capsys, "optimize", "--ideal", "--ineq", "chsh",
+                             "--free", "a,b", "--grid-step", "30", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--U", "--V"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_verify_theorem_box_out_of_range(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify-theorem", f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["U", "V"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_verify_theorem_config_box_out_of_range(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorem": {key: value}}))
+        code, out, err = run(capsys, "verify-theorem", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_lhv_sample_budget_on_models_times_strategies(self, capsys, monkeypatch):
+        # Both sides of the boundary, without drawing a model: a run that
+        # passes every check reaches the sampler, which is replaced here.
+        class Drawn(Exception):
+            pass
+
+        def sampler(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(cli, "sample_random_model", sampler)
+        strategies = 100
+        models = MAX_DRAWN_STRATEGIES // strategies
+        assert models <= MAX_MODELS and models * strategies == MAX_DRAWN_STRATEGIES
+        with pytest.raises(Drawn):
+            main(["lhv-sample", "--functional", "ineq19", "--models", str(models),
+                  "--strategies", str(strategies)])
+        code, out, err = run(capsys, "lhv-sample", "--functional", "ineq19",
+                             "--models", str(models + 1), "--strategies", str(strategies))
+        assert code == 2
+        assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag,value", [

@@ -97,6 +97,14 @@ class TestTheorem:
         with pytest.raises(ValueError):
             verify_theorem(-1.0, 1.0)
 
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_caps(self, cap):
+        for U, V in ((cap, 1.0), (1.0, cap)):
+            with pytest.raises(ValueError, match="finite"):
+                verify_theorem(U, V)
+            with pytest.raises(ValueError, match="finite"):
+                TheoremPoint(0, 0, 0, 0, 0, 0, 0, 0, U=U, V=V)
+
     @pytest.mark.parametrize("samples", [1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
     def test_blocked_minimum_keeps_the_sample_stream(self, samples):
         # The blocks hold the rows of one default_rng(seed).random((n, 8))

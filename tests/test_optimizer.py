@@ -1,14 +1,26 @@
+import importlib
+import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from bellbench import (
+    FUNCTIONALS,
     AngleConfig,
     ExperimentParams,
     OptimizationProblem,
     optimize,
+    quantum_cells,
+    settings_table,
 )
+from bellbench.inequalities import TIED_ORIENTATIONS
 from bellbench.optimize import MAX_GRID_POINTS, GridBudgetError, grid_points
+
+# The module itself: the package exports its ``optimize`` function under
+# the same name.
+optimize_module = importlib.import_module("bellbench.optimize")
 
 SQRT2 = math.sqrt(2.0)
 ZERO = AngleConfig(0, 0, 0, 0, 0)
@@ -49,6 +61,12 @@ class TestProblemValidation:
             optimize(p, grid_step=0.0)
         with pytest.raises(ValueError):
             optimize(p, grid_step=5.0, refine_tolerance=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -0.01])
+    def test_refine_tolerance_must_be_finite_and_positive(self, tol):
+        p = OptimizationProblem("CHSH27", ("a", "b"), ZERO)
+        with pytest.raises(ValueError, match="refine_tolerance"):
+            optimize(p, grid_step=30.0, refine_tolerance=tol)
 
     def test_grid_budget_boundary(self):
         # 3162^2 points fit the budget and 3163^2 do not; only the larger
@@ -135,3 +153,109 @@ class TestSearchProperties:
         r = optimize(p, grid_step=45.0, refine_tolerance=1.0)
         assert r.best_config.r == 77.0
         assert r.best_config.a_prime == 0.0
+
+
+# Problems over every functional, ideal and real, with tied geometries
+# (a tied orientation left free, a tie target free) and non-integer steps.
+REAL = ExperimentParams(eta=0.8, phi_deg=35.0)
+BASE = AngleConfig(10.0, 20.0, 30.0, 40.0, 50.0)
+GRID_PROBLEMS = [
+    ("INEQ17", ("a", "b_prime", "r"), BASE, REAL, 180.0 / 7),
+    ("INEQ19", ("a", "b", "a_prime"), ZERO, None, 20.0),
+    ("CHSH27", ("b", "a_prime", "b_prime"), ZERO, None, 30.0),
+    ("CHSH27", ("a", "b"), BASE, REAL, 180.0 / 11),
+    ("BELL65_28", ("a", "b_prime"), BASE, None, 180.0 / 7),
+    ("BELL65_28", ("b", "a_prime", "b_prime"), ZERO, None, 22.5),
+    ("STRONG41", ("a", "b", "r"), BASE, REAL, 30.0),
+    ("STRONG41", ("a_prime", "b_prime"), ZERO, None, 180.0 / 13),
+    ("STRONG46", ("a_prime", "b", "r"), BASE, REAL, 22.5),
+    ("STRONG46", ("a", "b"), ZERO, None, 15.0),
+]
+
+
+def _grid_winner(problem, step):
+    f = FUNCTIONALS[problem.inequality]
+    order = optimize_module._FREE_ORDER
+    free = [order.index(n) for n in sorted(problem.free_angles, key=order.index)]
+    grid = np.arange(round(180.0 / step)) * step
+    base = np.array([getattr(problem.base_config, n) for n in order])
+    point, margin = optimize_module._grid_search(problem, f, free, grid, base)
+    return tuple(point[free]), margin
+
+
+def _brute_force_winner(problem, step):
+    """Score every grid point on its own and keep the first best one."""
+    f = FUNCTIONALS[problem.inequality]
+    tied = TIED_ORIENTATIONS.get(problem.inequality, {})
+    free = sorted(problem.free_angles, key=optimize_module._FREE_ORDER.index)
+    grid = np.arange(round(180.0 / step)) * step
+    best, best_margin = None, -math.inf
+    for values in itertools.product(grid, repeat=len(free)):
+        angles = {n: getattr(problem.base_config, n) % 180.0 for n in optimize_module._FREE_ORDER}
+        angles.update(zip(free, values))
+        angles.update({name: angles[target] for name, target in tied.items()})
+        # One-element arrays: numpy's scalar paths can round differently.
+        cells = [quantum_cells(np.array([(angles[n1] - angles[n2]) % 180.0]), problem.params)
+                 for n1, n2 in f.required_pairs]
+        margin = float(f.margins(cells)[0])
+        if margin > best_margin:
+            best, best_margin = tuple(values), margin
+    return best, best_margin
+
+
+def _moved(config, fid, name, step):
+    """``config`` with one orientation turned by ``step``, then the tied
+    orientations set along their targets again (a tied one stays put)."""
+    config = config.replace(**{name: getattr(config, name) + step})
+    tied = TIED_ORIENTATIONS.get(fid, {})
+    return config.replace(**{n: getattr(config, target) for n, target in tied.items()})
+
+
+class TestExactAscent:
+    @pytest.mark.parametrize("eta", [0.5, 0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("phi", [63.0, 63.2])
+    @pytest.mark.parametrize("tol", [0.01, 1e-9])
+    def test_real_apparatus_criterion(self, eta, phi, tol):
+        # The symmetric ratio form's optimum margin is 2.5 F - 2 at every
+        # efficiency: a violation iff F > 4/5, that is phi below 63.11 deg.
+        params = ExperimentParams(eta=eta, phi_deg=phi)
+        p = OptimizationProblem("STRONG46", ("a", "b", "r"), BASE, params)
+        r = optimize(p, grid_step=5.0, refine_tolerance=tol)
+        assert r.best_margin == pytest.approx(2.5 * params.f - 2.0, abs=1e-12)
+        assert (r.best_margin > 0.0) == (phi == 63.0)
+
+    @pytest.mark.parametrize("fid,free,base,params,step", GRID_PROBLEMS)
+    def test_grid_winner_is_the_brute_force_winner(self, fid, free, base, params, step):
+        p = OptimizationProblem(fid, free, base, params)
+        assert _grid_winner(p, step) == _brute_force_winner(p, step)
+
+    @pytest.mark.parametrize("slab", [1, 5, 64])
+    @pytest.mark.parametrize("fid,free,base,params,step", GRID_PROBLEMS[::3])
+    def test_grid_winner_does_not_depend_on_the_slab_size(
+            self, monkeypatch, slab, fid, free, base, params, step):
+        p = OptimizationProblem(fid, free, base, params)
+        expected = _grid_winner(p, step)
+        monkeypatch.setattr(optimize_module, "_SLAB", slab)
+        assert _grid_winner(p, step) == expected
+
+    @pytest.mark.parametrize("fid,free,base,params,step", GRID_PROBLEMS)
+    def test_no_single_angle_move_improves_the_result(self, fid, free, base, params, step):
+        p = OptimizationProblem(fid, free, base, params)
+        r = optimize(p, grid_step=step, refine_tolerance=1e-9)
+        f = FUNCTIONALS[fid]
+        for name in free:
+            for step_deg in (1e-4, -1e-4):
+                config = _moved(r.best_config, fid, name, step_deg)
+                margin = f.evaluate(settings_table(config, f.required_pairs, params)).margin
+                assert margin <= r.best_margin + 1e-12, (name, step_deg)
+
+    @pytest.mark.parametrize("free,steps", [(("a",), 10 ** 6), (("a", "b"), 1000)])
+    def test_memory_stays_flat_on_a_large_grid(self, free, steps):
+        p = OptimizationProblem("CHSH27", free, BASE)
+        tracemalloc.start()
+        try:
+            optimize(p, grid_step=180.0 / steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
