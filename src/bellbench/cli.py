@@ -453,12 +453,14 @@ def _cmd_lhv_bound(args) -> int:
     return 0
 
 
-# The most models one lhv-sample run draws: about a minute at the roughly
-# 0.5 ms a four-strategy model takes to draw and evaluate.
+# The most models one lhv-sample run draws: 13 to 30 s at the 0.13 ms
+# (no constraint) to 0.3 ms (supplementary) a four-strategy model takes to
+# draw and evaluate on one core (2-vCPU machine).
 MAX_MODELS = 10 ** 5
 
-# The most strategies one lhv-sample run draws over all its models: about
-# a minute too, at the roughly 25 us a strategy of a large model takes.
+# The most strategies one lhv-sample run draws over all its models: at most
+# about 40 s, for 10^5 models of 20 strategies at 0.17 to 0.38 ms each; the
+# strategies of a few large models take 1 to 2 us each (same machine).
 MAX_DRAWN_STRATEGIES = 2 * 10 ** 6
 
 

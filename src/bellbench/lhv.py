@@ -1,21 +1,25 @@
 """Local-hidden-variable models and exhaustive local-bound computation.
 
-A hidden state is represented by a :class:`ResponseFunction`: per side and
-per local orientation, a pair of conditional detection probabilities.
-Locality is structural; a side's response has no slot for the other
-side's orientation.  Ensembles are finite weighted mixtures, and local
-bounds are computed by scoring every deterministic strategy, the extreme
-points of the response box, against a functional's coefficient rows.
-The ensemble probabilities are multilinear in the individual response
-probabilities, so the bound over deterministic strategies is the bound
-over all mixtures.
+A model, a finite weighted mixture of hidden states, is one response
+array: strategies x side x slot x (q+, q-, q_none), the conditional
+probabilities of each outcome per side and per local orientation.  A
+:class:`ResponseFunction` is the view of one strategy, one mapping per
+side from orientation to (q+, q-).  Locality is structural; a side's
+response has no slot for the other side's orientation.  Local bounds are
+computed by scoring every deterministic strategy, the extreme points of
+the response box, against a functional's coefficient rows.  The ensemble
+probabilities are multilinear in the individual response probabilities,
+so the bound over deterministic strategies is the bound over all
+mixtures.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -107,22 +111,109 @@ def check_gr(rf: ResponseFunction, tol: float = EQ_TOL) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+SlotNames = tuple[tuple[str, ...], tuple[str, ...]]
+
+
 class LhvModel:
-    """Weighted mixture of response functions (the hidden-state ensemble)."""
+    """Weighted mixture of response functions (the hidden-state ensemble).
 
-    strategies: tuple[ResponseFunction, ...]
-    weights: tuple[float, ...]
+    ``responses`` is one read-only array, strategies x side x slot x
+    (q+, q-, q_none); ``names`` holds each side's slot names in slot order
+    (a shorter side leaves its last slots unnamed) and ``weights`` the
+    mixture weights as floats.  Strategies whose slot sets differ share
+    the union of their slot names, and ``present`` (strategies x side x
+    slot) marks which strategy has which slot; it is None when every
+    strategy has every named slot.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.strategies) != len(self.weights):
+    def __init__(self, strategies: Sequence[ResponseFunction], weights: Sequence[float]) -> None:
+        strategies = tuple(strategies)
+        names = tuple(tuple(dict.fromkeys(name for rf in strategies for name in rf.slots(side)))
+                      for side in (1, 2))
+        q = np.zeros((len(strategies), 2, max(map(len, names)), 2))
+        present = np.zeros(q.shape[:-1], dtype=bool)
+        for s, rf in enumerate(strategies):
+            for side, side_names in enumerate(names):
+                slots = rf.slots(side + 1)
+                for k, name in enumerate(side_names):
+                    if name in slots:
+                        q[s, side, k] = slots[name]
+                        present[s, side, k] = True
+        named = all(present[:, side, :len(side_names)].all() for side, side_names in enumerate(names))
+        self._set(q, names, weights, None if named else present)
+        self.__dict__["strategies"] = strategies  # the views are the given objects
+
+    @classmethod
+    def _from_array(cls, q: np.ndarray, names: SlotNames, weights: Sequence[float]) -> "LhvModel":
+        """A model over q, strategies x side x slot x (q+, q-), in which every
+        strategy has every named slot."""
+        model = cls.__new__(cls)
+        model._set(q, names, weights, None)
+        return model
+
+    def _set(self, q: np.ndarray, names: SlotNames, weights: Sequence[float],
+             present: Optional[np.ndarray]) -> None:
+        """Check the responses and weights in one pass, by ResponseFunction's
+        rules and a mixture's, and store them with q_none appended."""
+        weights = tuple(map(float, weights))
+        if len(q) != len(weights):
             raise ValueError("strategies and weights differ in length")
-        if not self.strategies:
+        if not weights:
             raise ValueError("model needs at least one strategy")
-        if any(w < 0 for w in self.weights):
+        if not all(map(math.isfinite, weights)):
+            raise ValueError("weights must be finite")
+        if min(weights) < 0:
             raise ValueError("weights must be non-negative")
-        if abs(sum(self.weights) - 1.0) > EQ_TOL:
+        if abs(sum(weights) - 1.0) > EQ_TOL:
             raise ValueError("weights must sum to 1")
+        qp, qm = q[..., 0], q[..., 1]
+        in_range = (q >= 0.0) & (q <= 1.0)  # NaN is out of range too
+        if not (in_range.all() and (qp + qm <= 1.0 + EQ_TOL).all()):
+            in_range = in_range.all(axis=-1)
+            slot = tuple(np.argwhere(~in_range | (qp + qm > 1.0 + EQ_TOL))[0])
+            message = "q+ + q- > 1" if in_range[slot] else "response probability out of [0,1]"
+            raise ValueError(f"{message} at {names[slot[1]][slot[2]]!r}")
+        responses = np.concatenate((q, np.maximum(0.0, 1.0 - qp - qm)[..., None]), axis=-1)
+        responses.setflags(write=False)
+        self.__dict__.update(responses=responses, names=names, weights=weights, present=present)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"LhvModel is immutable; cannot set {name!r}")
+
+    @functools.cached_property
+    def strategies(self) -> tuple[ResponseFunction, ...]:
+        """One ResponseFunction per strategy, built on first access."""
+        return tuple(
+            ResponseFunction(*({name: tuple(pair) for name, pair in zip(side_names, slots)}
+                               for side_names, slots in zip(self.names, strategy)))
+            for strategy in self.responses[..., :2].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LhvModel):
+            return NotImplemented
+        return self.weights == other.weights and self.strategies == other.strategies
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _missing(side: int, orientation: str) -> EvaluationError:
+    return EvaluationError(
+        f"response function has no slot for orientation {orientation!r} on side {side}")
+
+
+@functools.lru_cache(maxsize=64)
+def _members(labels: tuple[SettingLabel, ...], names: SlotNames) -> np.ndarray:
+    """Where each pair's members sit in a model's responses: an index array
+    (side, slot) x member (first, second) x pair, read-only because it is
+    shared by every model with these slot names."""
+    at = np.zeros((2, 2, len(labels)), dtype=int)
+    for p, label in enumerate(labels):
+        for m, (side, name) in enumerate(zip(label_sides(label), label)):
+            if name not in names[side - 1]:
+                raise _missing(side, name)
+            at[:, m, p] = side - 1, names[side - 1].index(name)
+    at.setflags(write=False)
+    return at
 
 
 def ensemble_table(model: LhvModel, pairs: Iterable[SettingLabel]) -> SettingsTable:
@@ -131,13 +222,16 @@ def ensemble_table(model: LhvModel, pairs: Iterable[SettingLabel]) -> SettingsTa
     The orientation labels alone identify the responses; the physical
     angles never enter a hidden-variable prediction.
     """
-    labels = list(pairs)
-    sides = [label_sides(label) for label in labels]
-    slots = dict.fromkeys(slot for label, pair in zip(labels, sides) for slot in zip(pair, label))
-    # Every strategy's (q+, q-, q_none) at each slot the pairs read.
-    responses = {slot: [rf.response(*slot) for rf in model.strategies] for slot in slots}
-    first = np.array([responses[s1, n1] for (n1, _), (s1, _) in zip(labels, sides)])
-    second = np.array([responses[s2, n2] for (_, n2), (_, s2) in zip(labels, sides)])
+    labels = tuple(pairs)
+    sides, slots = _members(labels, model.names)
+    if model.present is not None:
+        for side, k in zip(sides.T.flat, slots.T.flat):
+            if not model.present[:, side, k].all():
+                raise _missing(side + 1, model.names[side][k])
+    # Every strategy's (q+, q-, q_none) at each pair's first and second
+    # member, member x pair x strategy x outcome: one gather, in the C order
+    # einsum has always been given.
+    first, second = np.ascontiguousarray(model.responses.transpose(1, 2, 0, 3)[sides, slots])
     tables = np.einsum("s,psi,psj->pij", np.array(model.weights), first, second)
     return SettingsTable({label: JointDistribution(tuple(map(tuple, table)))
                           for label, table in zip(labels, tables.tolist())})
@@ -273,14 +367,15 @@ def _draw_strategies(
     constraint: str,
     orientations: tuple[Sequence[str], Sequence[str]],
     tie_primed_to_r: bool,
-) -> tuple[ResponseFunction, ...]:
-    """``n`` response functions drawn uniformly from the constrained region.
+) -> tuple[np.ndarray, SlotNames]:
+    """``n`` strategies drawn uniformly from the constrained region, as an
+    array strategies x side x slot x (q+, q-) and each side's slot names.
 
-    All responses come from one array of uniforms, strategies x side x
-    slot x (q+, q-), with each side's ``r`` slot first.  Without a
-    constraint, and under ``supplementary``, a slot's pair is uniform on
-    the triangle q+, q- >= 0, q+ + q- <= 1: a pair above the diagonal is
-    reflected through (1/2, 1/2).  ``supplementary`` then redraws the
+    All responses come from one array of uniforms of that shape, with each
+    side's ``r`` slot first.  Without a constraint, and under
+    ``supplementary``, a slot's pair is uniform on the triangle
+    q+, q- >= 0, q+ + q- <= 1: a pair above the diagonal is reflected
+    through (1/2, 1/2).  ``supplementary`` then redraws the
     strategies that check_supplementary rejects until none remain.  The
     ``gr`` region has measure zero, so it is sampled by construction: each
     side's detection total is the second uniform of its first slot, and
@@ -289,13 +384,13 @@ def _draw_strategies(
     """
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}")
-    names = [sorted(side, key=lambda name: name != "r") for side in orientations]
+    names = tuple(tuple(sorted(side, key=lambda name: name != "r")) for side in orientations)
     if constraint == "supplementary" and not all(side and side[0] == "r" for side in names):
         raise ValueError("supplementary sampling needs an r slot on each side")
     width = max(map(len, names))
-    copies = np.array([[k >= len(side) or (tie_primed_to_r and side[0] == "r"
-                                           and side[k] in _PRIMED) for k in range(width)]
-                       for side in names])[:, :, None]
+    tied = [[k >= len(side) or (tie_primed_to_r and side[0] == "r" and side[k] in _PRIMED)
+             for k in range(width)] for side in names]
+    copies = np.array(tied)[:, :, None] if any(map(any, tied)) else None
 
     def draw(count: int) -> np.ndarray:
         u = rng.random((count, 2, width, 2))
@@ -303,24 +398,24 @@ def _draw_strategies(
             split = u[..., :1]
             q = np.concatenate((split, 1.0 - split), axis=-1) * u[:, :, :1, 1:]
         else:
-            q = np.where(u.sum(axis=-1, keepdims=True) > 1.0, 1.0 - u, u)
-        return np.where(copies, q[:, :, :1], q)
+            q = np.subtract(1.0, u, out=u, where=u[..., :1] + u[..., 1:] > 1.0)
+        if copies is not None:
+            np.copyto(q, q[:, :, :1], where=copies)
+        return q
 
     def rejected(q: np.ndarray) -> np.ndarray:
         """Strategies with a channel above its side's total at r."""
-        total_r = q[:, :, :1].sum(axis=-1, keepdims=True)
+        total_r = q[:, :, :1, :1] + q[:, :, :1, 1:]
         return (q[:, :, 1:] > total_r + EQ_TOL).any(axis=(1, 2, 3))
 
     q = draw(n)
     if constraint == "supplementary":
         redo = np.flatnonzero(rejected(q))
         while redo.size:
-            q[redo] = draw(redo.size)
-            redo = redo[rejected(q[redo])]
-    return tuple(
-        ResponseFunction(*({name: tuple(pair) for name, pair in zip(side, slots)}
-                           for side, slots in zip(names, strategy)))
-        for strategy in q.tolist())
+            fresh = draw(redo.size)
+            q[redo] = fresh
+            redo = redo[rejected(fresh)]
+    return q, names
 
 
 def sample_response_function(
@@ -332,8 +427,9 @@ def sample_response_function(
 ) -> ResponseFunction:
     """Draw one response function uniformly from the constrained region
     (see _draw_strategies)."""
-    return _draw_strategies(rng, 1, constraint, (side1_orientations, side2_orientations),
-                            tie_primed_to_r)[0]
+    q, names = _draw_strategies(rng, 1, constraint, (side1_orientations, side2_orientations),
+                                tie_primed_to_r)
+    return LhvModel._from_array(q, names, (1.0,)).strategies[0]
 
 
 def sample_random_model(
@@ -349,5 +445,5 @@ def sample_random_model(
     rng = np.random.default_rng(seed)
     raw = rng.random(n_strategies) + 1e-9
     weights = raw / raw.sum()
-    strategies = _draw_strategies(rng, n_strategies, constraint, _ORIENTATIONS, tie_primed_to_r)
-    return LhvModel(strategies, tuple(weights.tolist()))
+    q, names = _draw_strategies(rng, n_strategies, constraint, _ORIENTATIONS, tie_primed_to_r)
+    return LhvModel._from_array(q, names, weights.tolist())

@@ -109,12 +109,12 @@ class JointDistribution:
     p: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        if len(self.p) != 3 or any(len(row) != 3 for row in self.p):
+        if list(map(len, self.p)) != [3, 3, 3]:
             raise ValueError("joint distribution must be a 3x3 table")
         total = 0.0
         for row in self.p:
             for v in row:
-                if not math.isfinite(v) or v < -PROB_TOL or v > 1.0 + PROB_TOL:
+                if not -PROB_TOL <= v <= 1.0 + PROB_TOL:  # NaN and ±inf fail too
                     raise ValueError(f"probability out of range: {v!r}")
                 total += v
         if abs(total - 1.0) > 1e-9:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from bellbench.inequalities import MAX_THEOREM_SAMPLES
 from conftest import ALL_PAIRS, OPTIMAL_ANGLES
 
 SQRT2 = math.sqrt(2.0)
+BLOCK = inequalities._THEOREM_BLOCK
 
 
 def value(fid, table):
@@ -105,7 +107,7 @@ class TestTheorem:
             with pytest.raises(ValueError, match="finite"):
                 TheoremPoint(0, 0, 0, 0, 0, 0, 0, 0, U=U, V=V)
 
-    @pytest.mark.parametrize("samples", [1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
+    @pytest.mark.parametrize("samples", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_blocked_minimum_keeps_the_sample_stream(self, samples):
         # The blocks hold the rows of one default_rng(seed).random((n, 8))
         # draw, scored here by the 19-term expansion written out.
@@ -119,6 +121,25 @@ class TestTheorem:
              + V * x2p + V * x2m + U * y2p + U * y2m + U * V)
         got = verify_theorem(U, V, samples=samples, seed=seed).min_sampled_value
         assert got == pytest.approx(z.min(), rel=1e-12)
+        # The in-place evaluation keeps the factored form's operation order,
+        # so it matches that form written as one expression exactly.
+        dy1 = y1p - y1m
+        factored = ((x1p - x1m) * (dy1 + y2p - y2m) + (x2p - x2m) * dy1
+                    - 2.0 * (x2p * y2p + x2m * y2m)
+                    + V * (x2p + x2m) + U * (y2p + y2m) + U * V)
+        assert got == factored.min()
+        np.testing.assert_array_equal(inequalities._z_array(x, U, V), factored)
+
+    def test_memory_stays_flat(self):
+        # A million samples are scored one block at a time (the samples
+        # alone would take 61 MiB).
+        tracemalloc.start()
+        try:
+            verify_theorem(1.0, 2.0, samples=10 ** 6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_sample_budget(self, monkeypatch):
         # The boundary is checked on the count alone; no sample is drawn.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -89,6 +91,27 @@ class TestEnsembleTable:
         with pytest.raises(ValueError):
             LhvModel((), ())
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_weights_must_be_finite(self, w):
+        rf = ResponseFunction.deterministic({"a": P}, {"b": P})
+        for strategies, weights in (((rf,), (w,)), ((rf, rf), (w, 1.0))):
+            with pytest.raises(ValueError, match="finite"):
+                LhvModel(strategies, weights)
+            q = np.zeros((len(weights), 2, 1, 2))
+            with pytest.raises(ValueError, match="finite"):
+                LhvModel._from_array(q, (("a",), ("b",)), weights)
+
+    def test_drawn_responses_are_checked(self):
+        q = np.zeros((2, 2, 2, 2))
+        names = (("r", "a"), ("r", "b"))
+        for cell, value, message in (((1, 0, 1, 0), -0.1, r"out of \[0,1\] at 'a'"),
+                                     ((1, 1, 0, 1), math.nan, r"out of \[0,1\] at 'r'"),
+                                     ((0, 1, 1), (0.7, 0.7), r"q\+ \+ q- > 1 at 'b'")):
+            bad = q.copy()
+            bad[cell] = value
+            with pytest.raises(ValueError, match=message):
+                LhvModel._from_array(bad, names, (0.5, 0.5))
+
     def test_deterministic_product(self):
         rf = ResponseFunction.deterministic(
             {"a": P, "a_prime": M}, {"b": M, "b_prime": N})
@@ -126,6 +149,73 @@ class TestEnsembleTable:
                 expected = sum(w * np.outer(rf.response(s1, n1), rf.response(s2, n2))
                                for rf, w in zip(model.strategies, model.weights))
                 np.testing.assert_allclose(t.get(label).p, expected, rtol=0, atol=1e-15)
+
+
+class TestModelArray:
+    @pytest.mark.parametrize("tie", [False, True])
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    def test_rebuilt_from_its_strategies(self, constraint, tie):
+        # A drawn model hands its array over directly; building the same
+        # model from its ResponseFunction views must give the same array
+        # and the same tables, bit for bit.
+        for seed in range(200):
+            model = sample_random_model(seed, 1 + seed % 5, constraint, tie_primed_to_r=tie)
+            rebuilt = LhvModel(model.strategies, model.weights)
+            assert model == rebuilt
+            assert rebuilt.present is None
+            np.testing.assert_array_equal(model.responses, rebuilt.responses)
+            # Each strategy's row is its view's (q+, q-, q_none), bit for bit.
+            for row, rf in zip(model.responses.tolist(), model.strategies):
+                for side, (names, slots) in enumerate(zip(model.names, row)):
+                    assert [rf.response(side + 1, name) for name in names] == \
+                        [tuple(q) for q in slots[:len(names)]]
+            drawn, built = ensemble_table(model, ALL_PAIRS), ensemble_table(rebuilt, ALL_PAIRS)
+            assert all(drawn.get(label).p == built.get(label).p for label in ALL_PAIRS)
+
+    def test_sampled_response_functions_are_unchanged(self):
+        # Values the per-strategy sampler drew: per constraint, the draws
+        # (untied, tied, untied) from one generator.
+        expected = {
+            "none": ((0.19281801353214167, 0.7316346740250216),
+                     (0.2262330683014625, 0.5127551389477146),
+                     (0.5968223667041186, 0.3253496550827225)),
+            "supplementary": ((0.1659611508983374, 0.8219796915456711),
+                              (0.13387382478786392, 0.6255450875093246),
+                              (0.48106866943085724, 0.40154584191596543)),
+            "gr": ((0.2213656273136636, 0.052879376941616936),
+                   (0.20443343260079855, 0.05977200733966997),
+                   (0.19417595115283912, 0.1311737039298834)),
+        }
+        for constraint, (a, b_prime, tied_b_prime) in expected.items():
+            rng = np.random.default_rng(2024)
+            _, tied, third = (sample_response_function(rng, constraint, tie_primed_to_r=tie)
+                              for tie in (False, True, False))
+            assert (third.side1["a"], third.side2["b_prime"]) == (a, b_prime)
+            assert tied.side2["b_prime"] == tied.side2["r"] == tied_b_prime
+
+    def test_mixed_slot_sets(self):
+        rf1 = ResponseFunction.deterministic({"a": P, "a_prime": M}, {"b": P})
+        rf2 = ResponseFunction({"a": (0.25, 0.5)}, {"b": (0.0, 0.5), "b_prime": (1.0, 0.0)})
+        model = LhvModel((rf1, rf2), (0.5, 0.5))
+        assert model.names == (("a", "a_prime"), ("b", "b_prime"))
+        assert model.strategies == (rf1, rf2)
+        d = ensemble_table(model, (("a", "b"),)).get(("a", "b"))
+        expected = sum(w * np.outer(rf.response(1, "a"), rf.response(2, "b"))
+                       for rf, w in zip(model.strategies, model.weights))
+        np.testing.assert_array_equal(d.p, expected)
+        # A slot some strategy lacks, or that none has, fails loudly.
+        for label, match in ((("a_prime", "b"), "'a_prime' on side 1"),
+                             (("a", "b_prime"), "'b_prime' on side 2"),
+                             (("r", "b"), "'r' on side 1")):
+            with pytest.raises(EvaluationError, match=match):
+                ensemble_table(model, (("a", "b"), label))
+
+    def test_immutable(self):
+        model = sample_random_model(1, 2)
+        with pytest.raises(AttributeError):
+            model.weights = (1.0, 0.0)
+        with pytest.raises(ValueError):
+            model.responses[0, 0, 0, 0] = 0.5
 
 
 class TestLocalBounds:

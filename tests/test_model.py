@@ -76,6 +76,21 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             JointDistribution(((1.5, -0.5, 0), (0, 0, 0), (0, 0, 0)))
 
+    @pytest.mark.parametrize("table,message", [
+        (((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)), "probability out of range: nan"),
+        (((math.inf, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)), "probability out of range: inf"),
+        (((0.5, 0.5, 0.0), (-math.inf, 0.0, 0.0), (0.0, 0.0, 0.0)),
+         "probability out of range: -inf"),
+        (((0.5, 0.5, 1e-9), (0.0, 0.0, 0.0), (0.0, 0.0, -1e-9)), "probability out of range: -1e-09"),
+        (((1.0 + 1e-9, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+         r"probability out of range: 1\.000000001"),
+        (((0.5, 0.5 + 2e-9, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), "probabilities sum to"),
+        (((0.5, 0.5, 0.0), (0.0, 0.0, 0.0)), "3x3 table"),
+    ])
+    def test_rejects_each_malformed_table(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            JointDistribution(table)
+
     def test_from_entries_and_marginals(self):
         P, M = Outcome.PLUS, Outcome.MINUS
         d = JointDistribution.from_entries({(P, P): 0.25, (P, M): 0.25,
