@@ -33,6 +33,7 @@ from .model import (
     EvaluationError,
     JointDistribution,
     Outcome,
+    OUTCOMES,
     SettingsTable,
 )
 from .montecarlo import RunSpec, run_reports, simulate
@@ -44,8 +45,7 @@ ALL_PAIRS = (
     ("a_prime", "r"), ("r", "b_prime"), ("r", "r"),
 )
 
-_SYMBOLS = {Outcome.PLUS: "+", Outcome.MINUS: "-", Outcome.NONE: "0"}
-_FROM_SYMBOL = {"+": 0, "-": 1, "0": 2}
+_FROM_SYMBOL = {o.value: i for i, o in enumerate(OUTCOMES)}
 
 
 class ConfigError(Exception):
@@ -193,7 +193,7 @@ def _write_table_csv(out, tables, counts: bool) -> None:
             for o2 in Outcome:
                 v = table.count(o1, o2) if counts else table.prob(o1, o2)
                 writer.writerow([
-                    _label_str(label), _SYMBOLS[o1], _SYMBOLS[o2],
+                    _label_str(label), o1.value, o2.value,
                     str(v) if counts else _fmt(v),
                 ])
 

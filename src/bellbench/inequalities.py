@@ -289,16 +289,21 @@ class Functional:
         cells = np.array([c.n for c in tables], dtype=float).reshape(-1, 9) / sizes[:, None]
         return self._report(cells, sizes)
 
-    def margins(self, cells: Sequence[np.ndarray]) -> np.ndarray:
-        """Margins (positive means violated) from one cell array per entry
-        of ``required_pairs``, of shapes (..., 9) that broadcast together;
-        -inf where a ratio has no reference coincidences."""
+    def values(self, cells: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray | bool]:
+        """Values from one cell array per entry of ``required_pairs``, of
+        shapes (..., 9) that broadcast together, and where they are
+        defined: a ratio needs reference coincidences."""
         value = _dot(cells, self.numer)
-        ok = True
-        if self.denom is not None:
-            denom = _dot(cells, self.denom)
-            ok = denom > 0.0
-            value = value / np.where(ok, denom, 1.0)
+        if self.denom is None:
+            return value, True
+        denom = _dot(cells, self.denom)
+        ok = denom > 0.0
+        return value / np.where(ok, denom, 1.0), ok
+
+    def margins(self, cells: Sequence[np.ndarray]) -> np.ndarray:
+        """Margins (positive means violated) of :meth:`values`; -inf where
+        a ratio has no reference coincidences."""
+        value, ok = self.values(cells)
         margin = self.bound - value if self.direction == GE else value - self.bound
         return np.where(ok, margin, -np.inf)
 

@@ -5,12 +5,14 @@ array: strategies x side x slot x (q+, q-, q_none), the conditional
 probabilities of each outcome per side and per local orientation.  A
 :class:`ResponseFunction` is the view of one strategy, one mapping per
 side from orientation to (q+, q-).  Locality is structural; a side's
-response has no slot for the other side's orientation.  Local bounds are
-computed by scoring every deterministic strategy, the extreme points of
-the response box, against a functional's coefficient rows.  The ensemble
+response has no slot for the other side's orientation.  One predicate,
+:func:`meets`, judges the detection constraints on such arrays.  Local
+bounds hold each side's deterministic strategies, the 0/1 points of the
+response box, in the same slot x (q+, q-, q_none) layout and score every
+admissible pair of them through :meth:`Functional.margins`.  The ensemble
 probabilities are multilinear in the individual response probabilities,
-so the bound over deterministic strategies is the bound over all
-mixtures.
+so for the linear forms the bound over deterministic strategies is the
+bound over all mixtures.
 """
 
 from __future__ import annotations
@@ -23,17 +25,23 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .inequalities import FUNCTIONALS, GE, TIED_ORIENTATIONS, Functional
+from .inequalities import FUNCTIONALS, TIED_ORIENTATIONS, Functional
 from .model import (
     EvaluationError,
     JointDistribution,
     Outcome,
+    OUTCOMES,
     SettingLabel,
     SettingsTable,
     label_sides,
 )
 
 EQ_TOL = 1e-12
+
+
+def _missing(side: int, orientation: str) -> EvaluationError:
+    return EvaluationError(
+        f"response function has no slot for orientation {orientation!r} on side {side}")
 
 
 @dataclass(frozen=True)
@@ -76,39 +84,48 @@ class ResponseFunction:
         """(q+, q-, q_none) at a given slot; missing slots fail loudly."""
         side_map = self.slots(side)
         if orientation not in side_map:
-            raise EvaluationError(
-                f"response function has no slot for orientation {orientation!r} on side {side}")
+            raise _missing(side, orientation)
         qp, qm = side_map[orientation]
         return (qp, qm, max(0.0, 1.0 - qp - qm))
 
-    def detection_total(self, side: int, orientation: str) -> float:
-        qp, qm, _ = self.response(side, orientation)
-        return qp + qm
+
+def meets(q: np.ndarray, r: int, constraint: str, tol: float = EQ_TOL) -> np.ndarray:
+    """Which of the responses ``q``, (..., slot, outcome) with q+ and q-
+    the first two outcomes, meet a detection constraint, ``r`` being the
+    index of the reference slot.
+
+    ``supplementary`` (no enhancement): no channel at any slot is
+    detected with a probability above the total at r.  ``gr``, the
+    stronger equality variant: every slot's total equals the total at r.
+    """
+    total_r = (q[..., r, 0] + q[..., r, 1])[..., None]
+    if constraint == "gr":
+        return ~(abs(q[..., 0] + q[..., 1] - total_r) > tol).any(axis=-1)
+    return ~(q[..., :2] > total_r[..., None] + tol).any(axis=(-2, -1))
+
+
+def _meets_each_side(rf: ResponseFunction, constraint: str, tol: float) -> bool:
+    for side in (1, 2):
+        slots = rf.slots(side)
+        if "r" not in slots:
+            raise _missing(side, "r")
+        if not meets(np.array(list(slots.values()), dtype=float), list(slots).index("r"),
+                     constraint, tol):
+            return False
+    return True
 
 
 def check_supplementary(rf: ResponseFunction, tol: float = EQ_TOL) -> bool:
     """Each channel's detection probability at any setting is bounded by
     the total detection probability at the reference setting r, side by
-    side."""
-    for side in (1, 2):
-        t_r = rf.detection_total(side, "r")
-        for name, (qp, qm) in rf.slots(side).items():
-            if name == "r":
-                continue
-            if qp > t_r + tol or qm > t_r + tol:
-                return False
-    return True
+    side (see :func:`meets`)."""
+    return _meets_each_side(rf, "supplementary", tol)
 
 
 def check_gr(rf: ResponseFunction, tol: float = EQ_TOL) -> bool:
     """Stronger equality variant: total detection probability is the same
-    at every orientation of a side."""
-    for side in (1, 2):
-        t_r = rf.detection_total(side, "r")
-        for name in rf.slots(side):
-            if abs(rf.detection_total(side, name) - t_r) > tol:
-                return False
-    return True
+    at every orientation of a side (see :func:`meets`)."""
+    return _meets_each_side(rf, "gr", tol)
 
 
 SlotNames = tuple[tuple[str, ...], tuple[str, ...]]
@@ -196,11 +213,6 @@ class LhvModel:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _missing(side: int, orientation: str) -> EvaluationError:
-    return EvaluationError(
-        f"response function has no slot for orientation {orientation!r} on side {side}")
-
-
 @functools.lru_cache(maxsize=64)
 def _members(labels: tuple[SettingLabel, ...], names: SlotNames) -> np.ndarray:
     """Where each pair's members sit in a model's responses: an index array
@@ -243,12 +255,11 @@ def ensemble_table(model: LhvModel, pairs: Iterable[SettingLabel]) -> SettingsTa
 CONSTRAINTS = ("none", "supplementary", "gr")
 
 _SIDE_OF = {"a": 1, "a_prime": 1, "b": 2, "b_prime": 2}
-_SYMBOLS = "+-0"  # outcome indices 0, 1, 2 of a deterministic slot
 
 
 def _orientation_slots(f: Functional, constraint: str) -> tuple[
-        list[str], list[str], list[tuple[tuple[int, str], tuple[int, str]]]]:
-    """Each side's slots and the ties between slots.
+        SlotNames, list[tuple[tuple[int, str], tuple[int, str]]]]:
+    """Each side's slot names and the ties between slots.
 
     A slot is an orientation on one side.  A tied slot copies the response
     of its target (see TIED_ORIENTATIONS); ``r`` sits on the tied slot's
@@ -271,20 +282,7 @@ def _orientation_slots(f: Functional, constraint: str) -> tuple[
                 names.append("r")
     for side, name in aliases:
         sides[side].append(name)
-    return sides[1], sides[2], ties
-
-
-def _admissible(outcomes: np.ndarray, names: list[str], constraint: str) -> np.ndarray:
-    """Which deterministic assignments of one side (rows of outcome
-    indices) meet the detection constraint, as check_supplementary and
-    check_gr judge them."""
-    detected = outcomes < 2
-    if constraint == "none":
-        return np.ones(len(outcomes), dtype=bool)
-    at_r = detected[:, [names.index("r")]]
-    if constraint == "supplementary":
-        return ~(detected & ~at_r).any(axis=1)
-    return (detected == at_r).all(axis=1)
+    return (tuple(sides[1]), tuple(sides[2])), ties
 
 
 @dataclass(frozen=True)
@@ -298,56 +296,50 @@ class BoundResult:
 
 
 def local_bound(functional: str, constraint: str = "none") -> BoundResult:
-    """Exact extremum of a functional over all local models.
+    """Extremum of a functional over the local models.
 
-    Scores every deterministic outcome assignment (at most 27 per side)
-    against the functional's coefficient rows; by multilinearity this
-    extremum equals the extremum over all weighted mixtures of stochastic
-    response functions.  For ratio functionals, strategies with no
-    reference coincidences are excluded: they contribute nothing to
-    either side of the measured ratio.  The witness is the first
-    extremal strategy pair, side 1's assignment varying slowest.
+    Each side's deterministic strategies (at most 27) are its one-hot
+    responses, strategy x slot x (q+, q-, q_none), the first slot varying
+    slowest.  Those that meet the constraint are paired, and every pair
+    that keeps the ties is scored by the functional's margins; by
+    multilinearity the extremum of a linear form equals its extremum over
+    all weighted mixtures of stochastic response functions.  Pairs with no
+    reference coincidences are excluded from the ratio forms.  That is
+    sound under ``supplementary`` and ``gr``, where every such pair also
+    has a zero numerator, but not under ``none``: there a mixture with a
+    pair whose numerator is negative drives the ratio without limit, so
+    the value reported for STRONG41 and STRONG46 is only the extremum over
+    pairs with reference coincidences, not a bound.  The witness is the
+    first extremal strategy pair, side 1's strategy varying slowest.
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}")
     f = FUNCTIONALS[functional]
-    names1, names2, ties = _orientation_slots(f, constraint)
-    side1 = np.array(list(itertools.product(range(3), repeat=len(names1))))
-    side2 = np.array(list(itertools.product(range(3), repeat=len(names2))))
-
-    def outcome(side: int, name: str) -> np.ndarray:
-        """Outcome indices of a slot, broadcast over (side 1, side 2) rows."""
-        if side == 1:
-            return side1[:, names1.index(name)][:, None]
-        return side2[:, names2.index(name)][None, :]
-
-    ok = (_admissible(side1, names1, constraint)[:, None]
-          & _admissible(side2, names2, constraint)[None, :])
-    for slot, target in ties:
-        ok = ok & (outcome(*slot) == outcome(*target))
-    numer = np.zeros(ok.shape)
-    denom = np.zeros(ok.shape)
-    for k, label in enumerate(f.required_pairs):
-        s1, s2 = label_sides(label)
-        cell = 3 * outcome(s1, label[0]) + outcome(s2, label[1])
-        numer += f.numer[k][cell]
-        if f.is_ratio:
-            denom += f.denom[k][cell]
-    value = numer
-    if f.is_ratio:
-        ok &= denom > 0.0
-        value = numer / np.where(ok, denom, 1.0)
-    score = np.where(ok, value if f.direction == GE else -value, np.inf)
-    i, j = divmod(int(np.argmin(score)), len(side2))
-    if not ok[i, j]:
+    names, ties = _orientation_slots(f, constraint)
+    # Each side's strategies that meet the constraint, strategy x slot x
+    # (q+, q-, q_none), set on its own axis of the grid of strategy pairs.
+    q1, q2 = (np.eye(3)[list(itertools.product(range(3), repeat=len(side)))] for side in names)
+    if constraint != "none":
+        q1, q2 = (q[meets(q, side.index("r"), constraint)] for q, side in zip((q1, q2), names))
+    grid = (q1[:, None], q2[None, :])
+    ok = np.ones((len(q1), len(q2)), dtype=bool)
+    for (side, name), (t_side, target) in ties:
+        ok &= (grid[side - 1][..., names[side - 1].index(name), :]
+               == grid[t_side - 1][..., names[t_side - 1].index(target), :]).all(axis=-1)
+    sides, slots = _members(f.required_pairs, names)
+    cells = [(grid[s1][..., k1, :, None] * grid[s2][..., k2, None, :]).reshape(ok.shape + (9,))
+             for s1, s2, k1, k2 in zip(*sides, *slots)]
+    margins = np.where(ok, f.margins(cells), -np.inf)
+    i, j = np.unravel_index(int(np.argmax(margins)), ok.shape)
+    if margins[i, j] == -np.inf:
         raise EvaluationError("no admissible strategy for this functional/constraint")
-    return BoundResult(
-        functional, constraint, float(value[i, j]),
-        {n: _SYMBOLS[o] for n, o in zip(names1, side1[i])},
-        {n: _SYMBOLS[o] for n, o in zip(names2, side2[j])},
-        int(ok.sum()))
+    value, _ = f.values([c[i, j] for c in cells])
+    witness = ({n: OUTCOMES[o].value for n, o in zip(side_names, q[k].argmax(axis=-1))}
+               for side_names, q, k in zip(names, (q1, q2), (i, j)))
+    return BoundResult(functional, constraint, float(value), *witness,
+                       int(np.isfinite(margins).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +395,13 @@ def _draw_strategies(
             np.copyto(q, q[:, :, :1], where=copies)
         return q
 
-    def rejected(q: np.ndarray) -> np.ndarray:
-        """Strategies with a channel above its side's total at r."""
-        total_r = q[:, :, :1, :1] + q[:, :, :1, 1:]
-        return (q[:, :, 1:] > total_r + EQ_TOL).any(axis=(1, 2, 3))
-
     q = draw(n)
     if constraint == "supplementary":
-        redo = np.flatnonzero(rejected(q))
+        redo = np.flatnonzero(~meets(q, 0, constraint).all(axis=1))
         while redo.size:
             fresh = draw(redo.size)
             q[redo] = fresh
-            redo = redo[rejected(fresh)]
+            redo = redo[~meets(fresh, 0, constraint).all(axis=1)]
     return q, names
 
 

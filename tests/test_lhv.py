@@ -1,10 +1,13 @@
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from bellbench.lhv import MAX_STRATEGIES
+from bellbench.inequalities import TIED_ORIENTATIONS
+from bellbench.lhv import MAX_STRATEGIES, meets
 from conftest import ALL_PAIRS
 
 from bellbench import (
@@ -12,6 +15,7 @@ from bellbench import (
     FUNCTIONALS,
     EvaluationError,
     LhvModel,
+    OUTCOMES,
     Outcome,
     ResponseFunction,
     check_gr,
@@ -20,6 +24,7 @@ from bellbench import (
     expectation,
     label_sides,
     local_bound,
+    make_report,
     sample_random_model,
     sample_response_function,
 )
@@ -291,6 +296,44 @@ class TestLocalBounds:
         for got, text in ((r.witness_side1, side1), (r.witness_side2, side2)):
             assert list(got.items()) == [(slot[:-1], slot[-1]) for slot in text.split()]
 
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("fid", list(FUNCTIONALS))
+    def test_matches_pairs_scored_one_by_one(self, fid, constraint):
+        # An independent path to the same numbers: every pair of
+        # deterministic ResponseFunctions over the engine's slots (at most
+        # 3^3 x 3^3), side 1 varying slowest, each scored as a one-strategy
+        # model through ensemble_table and Functional.evaluate.
+        r = local_bound(fid, constraint)
+        f = FUNCTIONALS[fid]
+        slots = (tuple(r.witness_side1), tuple(r.witness_side2))
+        # A tied slot copies its target: r on its own side, else the
+        # target orientation's side.
+        ties = [(side, name, side if target == "r" else 2 if target.startswith("b") else 1, target)
+                for name, target in TIED_ORIENTATIONS.get(fid, {}).items()
+                for side in (1, 2) if name in slots[side - 1]]
+        check = {"none": lambda rf: True, "supplementary": check_supplementary, "gr": check_gr}
+        best, count = None, 0
+        for s1, s2 in itertools.product(*(
+                [dict(zip(names, outcomes)) for outcomes in itertools.product(OUTCOMES, repeat=len(names))]
+                for names in slots)):
+            rf = ResponseFunction.deterministic(s1, s2)
+            if not check[constraint](rf) or any(
+                    rf.response(side, name) != rf.response(t_side, target)
+                    for side, name, t_side, target in ties):
+                continue
+            try:
+                report = f.evaluate(ensemble_table(LhvModel((rf,), (1.0,)), f.required_pairs))
+            except EvaluationError as exc:
+                assert "no r,r coincidences" in str(exc)
+                continue  # the ratio is undefined
+            count += 1
+            if best is None or report.margin > best[0].margin:
+                best = (report, s1, s2)
+        report, s1, s2 = best
+        assert (r.bound, r.n_strategies) == (report.value, count)
+        for got, side in ((r.witness_side1, s1), (r.witness_side2, s2)):
+            assert list(got.items()) == [(n, o.value) for n, o in side.items()]
+
     def test_constraint_only_tightens(self):
         for fid in ("INEQ19", "STRONG41"):
             free = local_bound(fid, "none").bound
@@ -375,3 +418,50 @@ class TestSampling:
         except EvaluationError:
             return  # no reference coincidences: the ratio is undefined
         assert value >= -1.0 - 1e-9
+
+
+# Seeded random local models against the engine's bounds: seeds 0-1499,
+# four strategies each, one model per seed and constraint.  STRONG46 puts
+# a' and b' along r, so it is checked on models with the primed slots tied
+# to r.  BELL65_28 is left out: it ties b' to a' across the sides, which
+# the sampler cannot draw.
+_SEEDS = range(1500)
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_models(constraint, tie):
+    return tuple(sample_random_model(seed, 4, constraint, tie_primed_to_r=tie) for seed in _SEEDS)
+
+
+_NO_BOUND = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ratio form under 'none': local_bound drops the strategy pairs with no (r, r) "
+    "coincidences although their numerator can be negative, so -1 is not a bound"))
+
+
+@pytest.mark.parametrize("fid,constraint", [
+    pytest.param(fid, constraint,
+                 marks=_NO_BOUND if (fid, constraint) in {("STRONG41", "none"), ("STRONG46", "none")} else ())
+    for fid in ("INEQ17", "INEQ19", "CHSH27", "STRONG41", "STRONG46") for constraint in CONSTRAINTS])
+def test_no_seeded_model_beats_the_engine_bound(fid, constraint):
+    f = FUNCTIONALS[fid]
+    bound = local_bound(fid, constraint).bound
+    worst = -math.inf
+    for model in _seeded_models(constraint, fid == "STRONG46"):
+        try:
+            value = f.evaluate(ensemble_table(model, f.required_pairs)).value
+        except EvaluationError:
+            continue  # no reference coincidences: the ratio is undefined
+        worst = max(worst, make_report(fid, value, bound, f.direction).margin)
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("constraint", CONSTRAINTS)
+def test_constraint_predicate_matches_the_checks(constraint, tie):
+    # The array predicate on a whole model, r being every side's first
+    # slot, agrees with check_supplementary and check_gr on its views.
+    for model in _seeded_models(constraint, tie)[:100]:
+        assert model.names[0][0] == model.names[1][0] == "r"
+        for name, check in (("supplementary", check_supplementary), ("gr", check_gr)):
+            on_array = meets(model.responses, 0, name).all(axis=1)
+            assert on_array.tolist() == [check(rf) for rf in model.strategies]
