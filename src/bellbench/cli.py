@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -37,7 +37,7 @@ from .model import (
     SettingsTable,
 )
 from .montecarlo import RunSpec, run_reports, simulate
-from .optimize import GridBudgetError, OptimizationProblem, optimize
+from .optimize import OptimizationProblem, optimize
 from .qm import ExperimentParams, settings_table
 
 ALL_PAIRS = (
@@ -106,52 +106,64 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _default_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("BELLBENCH_SEED")
-    if env is not None:
+# Built-in defaults, for a setting that neither a flag nor the config file gives.
+_DEFAULTS = {"threads": 1, "grid_step": 5.0, "refine_tolerance": 0.01,
+             "U": 1.0, "V": 1.0, "samples": 0}
+
+
+def _resolve(args) -> None:
+    """Settle every setting of ``args``: a flag given on the command line
+    beats the config file, which beats ``_DEFAULTS``; a seed still unset
+    comes from BELLBENCH_SEED, else 0.  Each flag's dest is its config key,
+    and each subcommand names the sections it reads.  The angles section
+    fills the dest ``angles`` whole, as ``--angles`` does."""
+    cfg = load_config(args.config) if args.config else {}
+    for section in args.sections:
+        if section not in cfg:
+            continue
+        body = {"angles": cfg["angles"]} if section == "angles" else cfg[section]
+        for key, value in body.items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+    for key, value in _DEFAULTS.items():
+        if getattr(args, key, value) is None:
+            setattr(args, key, value)
+    if getattr(args, "seed", 0) is None:
+        env = os.environ.get("BELLBENCH_SEED", "0")
         try:
-            return int(env)
+            args.seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"BELLBENCH_SEED is not an integer: {env!r}") from exc
-    return 0
 
 
-def _parse_angles(text: Optional[str], cfg: dict) -> AngleConfig:
-    if text is not None:
-        parts = text.split(",")
-        if len(parts) != 5:
-            raise ConfigError("--angles needs five comma-separated degrees: a,b,a',b',r")
+def _parse_angles(value) -> AngleConfig:
+    """Angles from ``--angles`` (a string) or the angles section (a dict)."""
+    if value is None:
+        raise ConfigError("no angles given (use --angles or a config file)")
+    if isinstance(value, dict):
         try:
-            a, b, ap, bp, r = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"bad angle in {text!r}") from exc
-        return AngleConfig(a, b, ap, bp, r)
-    section = cfg.get("angles")
-    if section is not None:
-        try:
-            return AngleConfig(**{k: float(v) for k, v in section.items()})
+            return AngleConfig(**{k: float(v) for k, v in value.items()})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad angles section: {exc}") from exc
-    raise ConfigError("no angles given (use --angles or a config file)")
+    parts = value.split(",")
+    if len(parts) != 5:
+        raise ConfigError("--angles needs five comma-separated degrees: a,b,a',b',r")
+    try:
+        a, b, ap, bp, r = (float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"bad angle in {value!r}") from exc
+    return AngleConfig(a, b, ap, bp, r)
 
 
-def _parse_params(args, cfg: dict) -> Optional[ExperimentParams]:
-    section = cfg.get("experiment", {})
-    ideal = args.ideal or section.get("ideal", False)
-    eta = args.eta if args.eta is not None else section.get("eta")
-    phi = args.phi if args.phi is not None else section.get("phi_deg")
-    f_override = (args.f_override if args.f_override is not None
-                  else section.get("f_override"))
-    if ideal:
-        if eta is not None or phi is not None:
+def _parse_params(args) -> Optional[ExperimentParams]:
+    if args.ideal:
+        if args.eta is not None or args.phi_deg is not None:
             raise ConfigError("--ideal conflicts with --eta/--phi")
         return None
-    if eta is None or phi is None:
+    if args.eta is None or args.phi_deg is None:
         raise ConfigError("real source needs --eta and --phi (or --ideal)")
     try:
-        return ExperimentParams(eta=eta, phi_deg=phi, f_override=f_override)
+        return ExperimentParams(eta=args.eta, phi_deg=args.phi_deg, f_override=args.f_override)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -159,10 +171,14 @@ def _parse_params(args, cfg: dict) -> Optional[ExperimentParams]:
 # ---------------------------------------------------------------------------
 # Output helpers.
 
+def _write_json(out, payload: dict) -> None:
+    json.dump(payload, out, indent=2)
+    out.write("\n")
+
+
 def _emit_reports(reports: Sequence[InequalityReport], fmt: str, out) -> None:
     if fmt == "json":
-        json.dump({"reports": [r.as_dict() for r in reports]}, out, indent=2)
-        out.write("\n")
+        _write_json(out, {"reports": [r.as_dict() for r in reports]})
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "value", "bound", "direction", "violated", "margin", "stderr"])
@@ -185,17 +201,13 @@ def _label_str(label) -> str:
     return ":".join(label)
 
 
-def _write_table_csv(out, tables, counts: bool) -> None:
+def _write_table_csv(out, tables) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["setting", "o1", "o2", "count_or_prob"])
     for label, table in tables.items():
         for o1 in Outcome:
             for o2 in Outcome:
-                v = table.count(o1, o2) if counts else table.prob(o1, o2)
-                writer.writerow([
-                    _label_str(label), o1.value, o2.value,
-                    str(v) if counts else _fmt(v),
-                ])
+                writer.writerow([_label_str(label), o1.value, o2.value, str(table.count(o1, o2))])
 
 
 def read_table_csv(path: str):
@@ -274,14 +286,13 @@ def _predict_reports(table: SettingsTable,
 
 
 def _cmd_predict(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    params = _parse_params(args, cfg)
-    config = _parse_angles(args.angles, cfg)
+    params = _parse_params(args)
+    config = _parse_angles(args.angles)
     table = settings_table(config, ALL_PAIRS, params)
     reports = _predict_reports(table, params, args.ineq, args.phi_setting)
     out = sys.stdout
     if args.format == "json":
-        payload = {
+        _write_json(out, {
             "angles": {n: getattr(config, n) for n in ("a", "b", "a_prime", "b_prime", "r")},
             "canonical_differences": list(config.canonical_differences()),
             "distributions": {
@@ -289,9 +300,7 @@ def _cmd_predict(args) -> int:
                 for label in table
             },
             "reports": [r.as_dict() for r in reports],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        })
     else:
         if args.format == "text":
             diffs = config.canonical_differences()
@@ -311,30 +320,26 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    params = _parse_params(args, cfg)
-    config = _parse_angles(args.angles, cfg)
-    run_cfg = cfg.get("run", {})
-    pairs = args.pairs if args.pairs is not None else run_cfg.get("pairs_per_setting")
+    params = _parse_params(args)
+    config = _parse_angles(args.angles)
+    pairs, seed = args.pairs_per_setting, args.seed
     if pairs is None:
         raise ConfigError("number of pairs per setting required (--pairs)")
-    seed = _default_seed(args.seed if args.seed is not None else run_cfg.get("seed"))
-    threads = args.threads if args.threads is not None else run_cfg.get("threads", 1)
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if args.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
     analytic = settings_table(config, ALL_PAIRS, params)
     try:
         spec = RunSpec(pairs_per_setting=pairs, seed=seed, settings=analytic)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    result = simulate(spec, workers=threads)
+    result = simulate(spec, workers=args.threads)
     reports = run_reports(result.counts)
     if args.counts_out:
         with open(args.counts_out, "w", encoding="utf-8", newline="") as handle:
-            _write_table_csv(handle, result.counts, counts=True)
+            _write_table_csv(handle, result.counts)
     out = sys.stdout
     if args.format == "json":
-        payload = {
+        _write_json(out, {
             "pairs_per_setting": pairs,
             "seed": seed,
             "counts": {
@@ -342,9 +347,7 @@ def _cmd_simulate(args) -> int:
                 for label, c in result.counts.items()
             },
             "reports": [r.as_dict() for r in reports],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        })
     elif args.format == "csv":
         _emit_reports(reports, "csv", out)
     else:
@@ -354,77 +357,57 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    params = _parse_params(args, cfg)
-    opt_cfg = cfg.get("optimize", {})
-    ineq = args.ineq or opt_cfg.get("inequality")
-    if ineq is None:
+    params = _parse_params(args)
+    if args.inequality is None:
         raise ConfigError("--ineq required")
-    free_text = args.free or opt_cfg.get("free")
-    if not free_text:
+    if not args.free:
         raise ConfigError("--free required (comma-separated angle names)")
-    free = tuple(free_text.split(",")) if isinstance(free_text, str) else tuple(free_text)
-    base = _parse_angles(args.angles, cfg) if (args.angles or "angles" in cfg) \
-        else AngleConfig(0, 0, 0, 0, 0)
-    grid_step = args.grid_step if args.grid_step is not None else opt_cfg.get("grid_step", 5.0)
-    refine = (args.refine_tol if args.refine_tol is not None
-              else opt_cfg.get("refine_tolerance", 0.01))
-    if not (math.isfinite(refine) and refine > 0):
-        raise ConfigError(f"refine tolerance must be finite and positive, got {refine!r}")
+    free = tuple(args.free.split(",")) if isinstance(args.free, str) else tuple(args.free)
+    base = _parse_angles(args.angles) if args.angles is not None else AngleConfig(0, 0, 0, 0, 0)
     try:
-        problem = OptimizationProblem(ineq, free, base, params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        result = optimize(problem, grid_step=grid_step, refine_tolerance=refine)
-    except GridBudgetError as exc:
+        problem = OptimizationProblem(args.inequality, free, base, params)
+        result = optimize(problem, grid_step=args.grid_step, refine_tolerance=args.refine_tolerance)
+    except ValueError as exc:  # a bad problem, grid step, grid budget or tolerance
         raise ConfigError(str(exc)) from exc
     out = sys.stdout
     if args.format == "json":
-        payload = {
+        _write_json(out, {
             "best_angles": {n: getattr(result.best_config, n)
                             for n in ("a", "b", "a_prime", "b_prime", "r")},
             "canonical_differences": list(result.canonical_differences),
             "best_margin": result.best_margin,
             "report": result.best_report.as_dict(),
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        })
+    elif args.format == "csv":
+        _emit_reports([result.best_report], "csv", out)
     else:
         c = result.best_config
         out.write("best angles: " + ", ".join(
             f"{n}={_fmt(getattr(c, n))}" for n in ("a", "b", "a_prime", "b_prime", "r")) + "\n")
         out.write("canonical differences: "
                   + ", ".join(_fmt(d) for d in result.canonical_differences) + "\n")
-        _emit_reports([result.best_report], args.format if args.format == "csv" else "text", out)
+        _emit_reports([result.best_report], "text", out)
     return 0
 
 
 def _cmd_verify_theorem(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    th = cfg.get("theorem", {})
-    U = args.U if args.U is not None else th.get("U", 1.0)
-    V = args.V if args.V is not None else th.get("V", 1.0)
-    samples = args.samples if args.samples is not None else th.get("samples", 0)
-    seed = _default_seed(args.seed if args.seed is not None else th.get("seed"))
     try:
-        report = verify_theorem(U, V, samples=samples, seed=seed)
+        report = verify_theorem(args.U, args.V, samples=args.samples, seed=args.seed)
     except ValueError as exc:  # a box or sample count out of range
         raise ConfigError(str(exc)) from exc
     out = sys.stdout
     if args.format == "json":
-        json.dump({
-            "U": U, "V": V, "samples": samples, "seed": seed,
+        _write_json(out, {
+            "U": args.U, "V": args.V, "samples": args.samples, "seed": args.seed,
             "min_vertex_value": report.min_vertex_value,
             "argmin_vertex": list(report.argmin_vertex),
             "min_sampled_value": report.min_sampled_value,
-        }, out, indent=2)
-        out.write("\n")
+        })
     else:
         out.write(f"min vertex value: {_fmt(report.min_vertex_value)}\n")
         out.write("argmin vertex: (" + ", ".join(_fmt(v) for v in report.argmin_vertex) + ")\n")
         if report.min_sampled_value is not None:
-            out.write(f"min sampled value ({samples} points): "
+            out.write(f"min sampled value ({args.samples} points): "
                       f"{_fmt(report.min_sampled_value)}\n")
     return 0
 
@@ -437,14 +420,13 @@ def _cmd_lhv_bound(args) -> int:
         raise ConfigError(str(exc)) from exc
     out = sys.stdout
     if args.format == "json":
-        json.dump({
+        _write_json(out, {
             "functional": result.functional,
             "constraint": result.constraint,
             "bound": result.bound,
             "witness": {"side1": result.witness_side1, "side2": result.witness_side2},
             "strategies_examined": result.n_strategies,
-        }, out, indent=2)
-        out.write("\n")
+        })
     else:
         out.write(f"{result.functional} under constraint '{result.constraint}': "
                   f"bound {_fmt(result.bound)}\n")
@@ -481,12 +463,11 @@ def _cmd_lhv_sample(args) -> int:
     if fid not in FUNCTIONALS:
         raise ConfigError(f"{fid} is not a settings-table functional")
     f = FUNCTIONALS[fid]
-    seed = _default_seed(args.seed)
     worst = None
     worst_seed = None
     tie = args.tie_r or fid == "STRONG46"
     for i in range(args.models):
-        model = sample_random_model(seed + i, args.strategies, args.constraint,
+        model = sample_random_model(args.seed + i, args.strategies, args.constraint,
                                     tie_primed_to_r=tie)
         try:
             report = f.evaluate(ensemble_table(model, f.required_pairs))
@@ -494,17 +475,16 @@ def _cmd_lhv_sample(args) -> int:
             continue
         if worst is None or report.margin > worst:
             worst = report.margin
-            worst_seed = seed + i
+            worst_seed = args.seed + i
     if worst is None:
         raise EvaluationError("no sampled model produced an evaluable table")
     out = sys.stdout
     if args.format == "json":
-        json.dump({
+        _write_json(out, {
             "functional": fid, "constraint": args.constraint,
             "models": args.models, "strategies": args.strategies,
             "worst_margin": worst, "worst_model_seed": worst_seed,
-        }, out, indent=2)
-        out.write("\n")
+        })
     else:
         out.write(f"{fid} over {args.models} random models "
                   f"({args.constraint}): worst margin {_fmt(worst)} "
@@ -515,68 +495,75 @@ def _cmd_lhv_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_source_args(p) -> None:
-    p.add_argument("--ideal", action="store_true", help="ideal polarizers and detectors")
+    # Unset is None, so the experiment section can fill --ideal too.
+    p.add_argument("--ideal", action="store_true", default=None,
+                   help="ideal polarizers and detectors")
     p.add_argument("--eta", type=float, help="detector quantum efficiency")
-    p.add_argument("--phi", type=float, help="detector aperture half-angle, degrees")
+    p.add_argument("--phi", type=float, dest="phi_deg", metavar="PHI",
+                   help="detector aperture half-angle, degrees")
     p.add_argument("--f-override", type=float, dest="f_override",
                    help="replace the computed depolarization factor")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; dests are config keys."""
     parser = argparse.ArgumentParser(
         prog="bellbench",
         description="Two-channel Bell-inequality toolkit for cascade-photon experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, func, sections=()):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--config", help="JSON config file with mode sections")
+        p.set_defaults(func=func, sections=sections)
         return p
 
-    p = common(sub.add_parser("predict", help="analytic distributions and reports"))
+    p = command("predict", "analytic distributions and reports", _cmd_predict,
+                ("experiment", "angles"))
     _add_source_args(p)
     p.add_argument("--angles", help="five orientations a,b,a',b',r in degrees")
     p.add_argument("--ineq", default="all", help="inequality id or 'all'")
     p.add_argument("--phi-setting", type=float, default=22.5, dest="phi_setting",
                    help="polarizer setting for the five-rate comparison inequality")
-    p.set_defaults(func=_cmd_predict)
 
-    p = common(sub.add_parser("evaluate", help="evaluate a table file"))
+    p = command("evaluate", "evaluate a table file", _cmd_evaluate)
     p.add_argument("input", help="CSV file: setting,o1,o2,count_or_prob")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = common(sub.add_parser("simulate", help="finite-N Monte Carlo run"))
+    p = command("simulate", "finite-N Monte Carlo run", _cmd_simulate,
+                ("experiment", "angles", "run"))
     _add_source_args(p)
     p.add_argument("--angles", help="five orientations a,b,a',b',r in degrees")
-    p.add_argument("--pairs", type=int, help="emitted pairs per setting")
+    p.add_argument("--pairs", type=int, dest="pairs_per_setting", metavar="PAIRS",
+                   help="emitted pairs per setting")
     p.add_argument("--seed", type=int, help="RNG seed (default: BELLBENCH_SEED or 0)")
     p.add_argument("--threads", type=int,
                    help="accepted for compatibility; no effect (one draw per setting)")
     p.add_argument("--counts-out", dest="counts_out", help="write counts CSV here")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = common(sub.add_parser("optimize", help="search angles for maximal violation"))
+    p = command("optimize", "search angles for maximal violation", _cmd_optimize,
+                ("experiment", "angles", "optimize"))
     _add_source_args(p)
-    p.add_argument("--ineq", help="inequality id to drive past its bound")
+    p.add_argument("--ineq", dest="inequality", metavar="INEQ",
+                   help="inequality id to drive past its bound")
     p.add_argument("--free", help="comma-separated free angle names")
     p.add_argument("--angles", help="base orientations a,b,a',b',r")
     p.add_argument("--grid-step", type=float, dest="grid_step")
-    p.add_argument("--refine-tol", type=float, dest="refine_tol")
-    p.set_defaults(func=_cmd_optimize)
+    p.add_argument("--refine-tol", type=float, dest="refine_tolerance", metavar="REFINE_TOL")
 
-    p = common(sub.add_parser("verify-theorem", help="check the algebraic theorem"))
+    p = command("verify-theorem", "check the algebraic theorem", _cmd_verify_theorem,
+                ("theorem",))
     p.add_argument("--U", type=float)
     p.add_argument("--V", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_verify_theorem)
 
-    p = common(sub.add_parser("lhv-bound", help="exhaustive local bound"))
+    p = command("lhv-bound", "exhaustive local bound", _cmd_lhv_bound)
     p.add_argument("functional")
     p.add_argument("constraint", choices=CONSTRAINTS, nargs="?", default="none")
-    p.set_defaults(func=_cmd_lhv_bound)
 
-    p = common(sub.add_parser("lhv-sample", help="worst margin over random local models"))
+    p = command("lhv-sample", "worst margin over random local models", _cmd_lhv_sample)
     p.add_argument("--functional", required=True)
     p.add_argument("--constraint", choices=CONSTRAINTS, default="none")
     p.add_argument("--models", type=int, default=1000)
@@ -584,26 +571,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--tie-r", action="store_true", dest="tie_r",
                    help="tie primed orientations to r (reduced reference geometry)")
-    p.set_defaults(func=_cmd_lhv_sample)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _resolve(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (EvaluationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

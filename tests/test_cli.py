@@ -1,8 +1,11 @@
+import argparse
+import csv
+import io
 import json
 
 import pytest
 
-from bellbench import cli
+from bellbench import AngleConfig, cli
 from bellbench.cli import _CONFIG_SECTIONS, MAX_DRAWN_STRATEGIES, MAX_MODELS, main
 from bellbench.inequalities import MAX_THEOREM_SAMPLES
 from bellbench.lhv import MAX_STRATEGIES
@@ -235,6 +238,23 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("step", ["7", "0", "-5", "nan"])
+    def test_optimize_grid_step_not_dividing_180(self, capsys, step):
+        code, out, err = run(capsys, "optimize", "--ideal", "--ineq", "chsh",
+                             "--free", "a,b", f"--grid-step={step}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "grid_step" in err
+
+    def test_optimize_csv_is_only_csv(self, capsys):
+        code, out, _ = run(capsys, "optimize", "--ideal", "--ineq", "chsh",
+                           "--free", "a,b", "--grid-step", "30", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["id", "value", "bound", "direction", "violated", "margin", "stderr"]
+        assert len(rows) == 2 and rows[1][0] == "CHSH27"
+
     def test_optimize_repeated_free_angle(self, capsys):
         code, out, err = run(capsys, "optimize", "--ideal", "--ineq", "chsh",
                              "--free", "a,a", "--grid-step", "30")
@@ -324,6 +344,97 @@ class TestOtherCommands:
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def _subcommands() -> dict:
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class _Stop(Exception):
+    """Raised by a spied library call once it has recorded its inputs."""
+
+
+@pytest.fixture
+def seen(monkeypatch):
+    """What the CLI hands the library, by config key; the calls that do
+    the work record their inputs and stop the run."""
+    record = {}
+    real_table = cli.settings_table
+
+    def table(config, pairs, params):
+        record.update(angles=config, params=params)
+        return real_table(config, pairs, params)
+
+    def simulate(spec, workers):
+        record.update(pairs_per_setting=spec.pairs_per_setting, seed=spec.seed, threads=workers)
+        raise _Stop
+
+    def optimize(problem, grid_step, refine_tolerance):
+        record.update(angles=problem.base_config, params=problem.params,
+                      inequality=problem.inequality, free=problem.free_angles,
+                      grid_step=grid_step, refine_tolerance=refine_tolerance)
+        raise _Stop
+
+    def verify_theorem(U, V, samples, seed):
+        record.update(U=U, V=V, samples=samples, seed=seed)
+        raise _Stop
+
+    for name, spy in [("settings_table", table), ("simulate", simulate),
+                      ("optimize", optimize), ("verify_theorem", verify_theorem)]:
+        monkeypatch.setattr(cli, name, spy)
+    monkeypatch.delenv("BELLBENCH_SEED", raising=False)
+    return record
+
+
+def _seen_value(record, key):
+    if key in ("eta", "phi_deg", "f_override"):
+        return getattr(record.get("params"), key, None)
+    return record.get(key)
+
+
+# Per config key: the flag that sets it, what the library then sees, a
+# file value and what the library sees of that.  Zero seeds and sample
+# counts check that an explicit falsy flag still beats the file.
+_SETTINGS = {
+    "eta": (["--eta", "0.7"], 0.7, 0.8, 0.8),
+    "phi_deg": (["--phi", "20"], 20.0, 25, 25),
+    "f_override": (["--f-override", "0.6"], 0.6, 0.5, 0.5),
+    "angles": (["--angles", "10,20,30,40,50"], AngleConfig(10, 20, 30, 40, 50),
+               {"a": 1, "b": 2, "a_prime": 3, "b_prime": 4, "r": 5}, AngleConfig(1, 2, 3, 4, 5)),
+    "pairs_per_setting": (["--pairs", "11"], 11, 12, 12),
+    "seed": (["--seed", "0"], 0, 5, 5),
+    "threads": (["--threads", "2"], 2, 3, 3),
+    "inequality": (["--ineq", "chsh"], "CHSH27", "ineq19", "INEQ19"),
+    "free": (["--free", "a,b"], ("a", "b"), ["a", "b_prime"], ("a", "b_prime")),
+    "grid_step": (["--grid-step", "30"], 30.0, 45, 45),
+    "refine_tolerance": (["--refine-tol", "0.5"], 0.5, 0.25, 0.25),
+    "U": (["--U", "2"], 2.0, 3, 3),
+    "V": (["--V", "2"], 2.0, 3, 3),
+    "samples": (["--samples", "0"], 0, 1000, 1000),
+}
+
+# The flags each subcommand needs besides the one under test.
+_SOURCE = {"eta": ["--eta", "0.9"], "phi_deg": ["--phi", "30"]}
+_BASE = {
+    "predict": {**_SOURCE, "angles": ["--angles", "0,0,0,0,0"]},
+    "simulate": {**_SOURCE, "angles": ["--angles", "0,0,0,0,0"],
+                 "pairs_per_setting": ["--pairs", "10"]},
+    "optimize": {**_SOURCE, "inequality": ["--ineq", "chsh"], "free": ["--free", "a,b"]},
+    "verify-theorem": {},
+}
+
+# What the library sees when neither the flag nor the file sets a key; a
+# key missing here has no default, and the run exits 2.
+_DEFAULT_SEEN = {
+    **{(command, "f_override"): None for command in ("predict", "simulate", "optimize")},
+    ("simulate", "seed"): 0, ("simulate", "threads"): 1,
+    ("optimize", "angles"): AngleConfig(0, 0, 0, 0, 0),
+    ("optimize", "grid_step"): 5.0, ("optimize", "refine_tolerance"): 0.01,
+    ("verify-theorem", "U"): 1.0, ("verify-theorem", "V"): 1.0,
+    ("verify-theorem", "samples"): 0, ("verify-theorem", "seed"): 0,
+}
+
+
 class TestConfigFile:
     def test_config_drives_simulate(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -377,3 +488,102 @@ class TestConfigFile:
                            "--seed", "6", "--format", "json")
         assert code == 0
         assert json.loads(out)["seed"] == 6
+
+    @pytest.mark.parametrize("content", [{"bogus": {}}, None], ids=["bogus", "missing"])
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "{counts}"], ["lhv-bound", "ineq19"],
+        ["lhv-sample", "--functional", "ineq19", "--models", "1"]], ids=lambda a: a[0])
+    def test_commands_reading_no_section_still_check_the_file(self, capsys, tmp_path,
+                                                             argv, content):
+        counts = tmp_path / "run.csv"
+        assert run(capsys, "simulate", "--ideal", "--angles", "60,120,0,0,0", "--pairs", "100",
+                   "--counts-out", str(counts))[0] == 0
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(json.dumps(content))
+        argv = [a.format(counts=counts) for a in argv]
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_every_key_is_a_dest_of_its_readers(self):
+        for name, sub in _subcommands().items():
+            dests = {a.dest for a in sub._actions}
+            for section in sub.get_default("sections"):
+                keys = {"angles"} if section == "angles" else set(_CONFIG_SECTIONS[section])
+                assert keys <= dests, (name, section, keys - dests)
+
+    @pytest.mark.parametrize("command,section,key", [
+        (name, section, key) for name, sub in _subcommands().items()
+        for section in sub.get_default("sections")
+        for key in (["angles"] if section == "angles" else _CONFIG_SECTIONS[section])
+        if key != "ideal"])
+    def test_flag_beats_file_beats_default(self, capsys, tmp_path, seen,
+                                           command, section, key):
+        flag, flag_seen, file_value, file_seen = _SETTINGS[key]
+        base = [arg for k, args in _BASE[command].items() if k != key for arg in args]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: file_value if key == "angles" else {key: file_value}}))
+
+        def resolved(*argv):
+            seen.clear()
+            try:
+                code = main([command, *base, *argv])
+            except _Stop:
+                code = None
+            capsys.readouterr()
+            return code, _seen_value(seen, key)
+
+        assert resolved(*flag, "--config", str(cfg))[1] == flag_seen
+        assert resolved("--config", str(cfg))[1] == file_seen
+        code, default_seen = resolved()
+        if (command, key) in _DEFAULT_SEEN:
+            assert default_seen == _DEFAULT_SEEN[command, key]
+        else:
+            assert code == 2
+
+    def test_ideal_flag_beats_file(self, capsys, tmp_path, seen):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"ideal": False}}))
+        run(capsys, "predict", "--ideal", "--angles", "0,0,0,0,0", "--config", str(cfg))
+        assert seen["params"] is None
+        cfg.write_text(json.dumps({"experiment": {"ideal": True}}))
+        run(capsys, "predict", "--angles", "0,0,0,0,0", "--config", str(cfg))
+        assert seen["params"] is None
+        run(capsys, "predict", "--eta", "0.9", "--phi", "30", "--angles", "0,0,0,0,0")
+        assert seen["params"].eta == 0.9
+
+    def test_explicit_zero_samples_beats_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorem": {"samples": 1000}}))
+        code, out, _ = run(capsys, "verify-theorem", "--samples", "0", "--config", str(cfg),
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["samples"] == 0 and payload["min_sampled_value"] is None
+
+    def test_explicit_zero_seed_beats_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {"seed": 5}}))
+        code, out, _ = run(capsys, "simulate", "--ideal", "--angles", "0,0,0,0,0",
+                           "--pairs", "10", "--seed", "0", "--config", str(cfg),
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["seed"] == 0
+
+    @pytest.mark.parametrize("given,expected", [("flag", 3), ("file", 4), ("neither", 13)])
+    @pytest.mark.parametrize("argv,section", [
+        (["simulate", "--ideal", "--angles", "0,0,0,0,0", "--pairs", "10"], "run"),
+        (["verify-theorem"], "theorem")], ids=["simulate", "verify-theorem"])
+    def test_seed_env_only_when_flag_and_file_leave_it_unset(self, capsys, tmp_path,
+                                                            monkeypatch, argv, section,
+                                                            given, expected):
+        monkeypatch.setenv("BELLBENCH_SEED", "13")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {"seed": 4} if given == "file" else {}}))
+        flag = ["--seed", "3"] if given == "flag" else []
+        code, out, _ = run(capsys, *argv, *flag, "--config", str(cfg), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["seed"] == expected
+
