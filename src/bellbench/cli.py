@@ -48,8 +48,8 @@ ALL_PAIRS = (
 _FROM_SYMBOL = {o.value: i for i, o in enumerate(OUTCOMES)}
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A rejected input, with the context the library's own message lacks."""
 
 
 def _fmt(x: float) -> str:
@@ -114,9 +114,10 @@ _DEFAULTS = {"threads": 1, "grid_step": 5.0, "refine_tolerance": 0.01,
 def _resolve(args) -> None:
     """Settle every setting of ``args``: a flag given on the command line
     beats the config file, which beats ``_DEFAULTS``; a seed still unset
-    comes from BELLBENCH_SEED, else 0.  Each flag's dest is its config key,
-    and each subcommand names the sections it reads.  The angles section
-    fills the dest ``angles`` whole, as ``--angles`` does."""
+    comes from BELLBENCH_SEED, else 0, and any seed must fit 64 unsigned
+    bits.  Each flag's dest is its config key, and each subcommand names
+    the sections it reads.  The angles section fills the dest ``angles``
+    whole, as ``--angles`` does."""
     cfg = load_config(args.config) if args.config else {}
     for section in args.sections:
         if section not in cfg:
@@ -134,6 +135,8 @@ def _resolve(args) -> None:
             args.seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"BELLBENCH_SEED is not an integer: {env!r}") from exc
+    if not 0 <= getattr(args, "seed", 0) < 2 ** 64:
+        raise ConfigError("seed must be an unsigned 64-bit integer")
 
 
 def _parse_angles(value) -> AngleConfig:
@@ -162,43 +165,42 @@ def _parse_params(args) -> Optional[ExperimentParams]:
         return None
     if args.eta is None or args.phi_deg is None:
         raise ConfigError("real source needs --eta and --phi (or --ideal)")
-    try:
-        return ExperimentParams(eta=args.eta, phi_deg=args.phi_deg, f_override=args.f_override)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentParams(eta=args.eta, phi_deg=args.phi_deg, f_override=args.f_override)
 
 
 # ---------------------------------------------------------------------------
-# Output helpers.
+# Output: every subcommand's result goes through _emit.
 
-def _write_json(out, payload: dict) -> None:
-    json.dump(payload, out, indent=2)
-    out.write("\n")
+_ANGLE_NAMES = ("a", "b", "a_prime", "b_prime", "r")
 
 
-def _emit_reports(reports: Sequence[InequalityReport], fmt: str, out) -> None:
-    if fmt == "json":
-        _write_json(out, {"reports": [r.as_dict() for r in reports]})
-    elif fmt == "csv":
+def _angles(config: AngleConfig) -> dict:
+    return {n: getattr(config, n) for n in _ANGLE_NAMES}
+
+
+def _emit(args, payload: dict, lines: Sequence[str] = (),
+          reports: Sequence[InequalityReport] = ()) -> int:
+    """Write a command's result to stdout in ``args.format``: the JSON
+    ``payload``, the CSV table of ``reports``, or the text ``lines``
+    followed by the reports.  Returns the exit code 0."""
+    out = sys.stdout
+    if args.format == "json":
+        out.write(json.dumps(payload, indent=2) + "\n")
+    elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "value", "bound", "direction", "violated", "margin", "stderr"])
-        for r in reports:
-            writer.writerow([
-                r.id, _fmt(r.value), _fmt(r.bound), r.direction,
-                str(r.violated).lower(), _fmt(r.margin),
-                "" if r.stderr is None else _fmt(r.stderr),
-            ])
+        writer.writerows([r.id, _fmt(r.value), _fmt(r.bound), r.direction,
+                          str(r.violated).lower(), _fmt(r.margin),
+                          "" if r.stderr is None else _fmt(r.stderr)] for r in reports)
     else:
+        out.writelines(line + "\n" for line in lines)
         for r in reports:
             mark = "VIOLATED" if r.violated else "satisfied"
             err = "" if r.stderr is None else f"  stderr={_fmt(r.stderr)}"
             out.write(
                 f"{r.id:10s} value={_fmt(r.value)}  bound {r.direction} {_fmt(r.bound)}"
                 f"  margin={_fmt(r.margin)}  [{mark}]{err}\n")
-
-
-def _label_str(label) -> str:
-    return ":".join(label)
+    return 0
 
 
 def _write_table_csv(out, tables) -> None:
@@ -207,7 +209,7 @@ def _write_table_csv(out, tables) -> None:
     for label, table in tables.items():
         for o1 in Outcome:
             for o2 in Outcome:
-                writer.writerow([_label_str(label), o1.value, o2.value, str(table.count(o1, o2))])
+                writer.writerow([":".join(label), o1.value, o2.value, str(table.count(o1, o2))])
 
 
 def read_table_csv(path: str):
@@ -290,24 +292,15 @@ def _cmd_predict(args) -> int:
     config = _parse_angles(args.angles)
     table = settings_table(config, ALL_PAIRS, params)
     reports = _predict_reports(table, params, args.ineq, args.phi_setting)
-    out = sys.stdout
-    if args.format == "json":
-        _write_json(out, {
-            "angles": {n: getattr(config, n) for n in ("a", "b", "a_prime", "b_prime", "r")},
-            "canonical_differences": list(config.canonical_differences()),
-            "distributions": {
-                _label_str(label): [list(row) for row in table.get(label).p]
-                for label in table
-            },
-            "reports": [r.as_dict() for r in reports],
-        })
-    else:
-        if args.format == "text":
-            diffs = config.canonical_differences()
-            out.write("canonical differences (a-b, b'-a, b-a', a'-b'): "
-                      + ", ".join(_fmt(d) for d in diffs) + "\n")
-        _emit_reports(reports, args.format, out)
-    return 0
+    diffs = config.canonical_differences()
+    return _emit(args, {
+        "angles": _angles(config),
+        "canonical_differences": list(diffs),
+        "distributions": {":".join(label): [list(row) for row in table.get(label).p]
+                          for label in table},
+        "reports": [r.as_dict() for r in reports],
+    }, ["canonical differences (a-b, b'-a, b-a', a'-b'): " + ", ".join(map(_fmt, diffs))],
+        reports)
 
 
 def _cmd_evaluate(args) -> int:
@@ -315,8 +308,7 @@ def _cmd_evaluate(args) -> int:
     reports = run_reports(counts) if counts is not None else applicable_reports(table)
     if not reports:
         raise EvaluationError("no inequality is applicable to the given settings")
-    _emit_reports(reports, args.format, sys.stdout)
-    return 0
+    return _emit(args, {"reports": [r.as_dict() for r in reports]}, reports=reports)
 
 
 def _cmd_simulate(args) -> int:
@@ -328,32 +320,22 @@ def _cmd_simulate(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     analytic = settings_table(config, ALL_PAIRS, params)
-    try:
-        spec = RunSpec(pairs_per_setting=pairs, seed=seed, settings=analytic)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = RunSpec(pairs_per_setting=pairs, seed=seed, settings=analytic)
     result = simulate(spec, workers=args.threads)
     reports = run_reports(result.counts)
     if args.counts_out:
-        with open(args.counts_out, "w", encoding="utf-8", newline="") as handle:
-            _write_table_csv(handle, result.counts)
-    out = sys.stdout
-    if args.format == "json":
-        _write_json(out, {
-            "pairs_per_setting": pairs,
-            "seed": seed,
-            "counts": {
-                _label_str(label): [list(row) for row in c.n]
-                for label, c in result.counts.items()
-            },
-            "reports": [r.as_dict() for r in reports],
-        })
-    elif args.format == "csv":
-        _emit_reports(reports, "csv", out)
-    else:
-        out.write(f"simulated {pairs} pairs per setting (seed {seed})\n")
-        _emit_reports(reports, "text", out)
-    return 0
+        try:
+            with open(args.counts_out, "w", encoding="utf-8", newline="") as handle:
+                _write_table_csv(handle, result.counts)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.counts_out!r}: {exc}") from exc
+    return _emit(args, {
+        "pairs_per_setting": pairs,
+        "seed": seed,
+        "counts": {":".join(label): [list(row) for row in c.n]
+                   for label, c in result.counts.items()},
+        "reports": [r.as_dict() for r in reports],
+    }, [f"simulated {pairs} pairs per setting (seed {seed})"], reports)
 
 
 def _cmd_optimize(args) -> int:
@@ -364,75 +346,46 @@ def _cmd_optimize(args) -> int:
         raise ConfigError("--free required (comma-separated angle names)")
     free = tuple(args.free.split(",")) if isinstance(args.free, str) else tuple(args.free)
     base = _parse_angles(args.angles) if args.angles is not None else AngleConfig(0, 0, 0, 0, 0)
-    try:
-        problem = OptimizationProblem(args.inequality, free, base, params)
-        result = optimize(problem, grid_step=args.grid_step, refine_tolerance=args.refine_tolerance)
-    except ValueError as exc:  # a bad problem, grid step, grid budget or tolerance
-        raise ConfigError(str(exc)) from exc
-    out = sys.stdout
-    if args.format == "json":
-        _write_json(out, {
-            "best_angles": {n: getattr(result.best_config, n)
-                            for n in ("a", "b", "a_prime", "b_prime", "r")},
-            "canonical_differences": list(result.canonical_differences),
-            "best_margin": result.best_margin,
-            "report": result.best_report.as_dict(),
-        })
-    elif args.format == "csv":
-        _emit_reports([result.best_report], "csv", out)
-    else:
-        c = result.best_config
-        out.write("best angles: " + ", ".join(
-            f"{n}={_fmt(getattr(c, n))}" for n in ("a", "b", "a_prime", "b_prime", "r")) + "\n")
-        out.write("canonical differences: "
-                  + ", ".join(_fmt(d) for d in result.canonical_differences) + "\n")
-        _emit_reports([result.best_report], "text", out)
-    return 0
+    problem = OptimizationProblem(args.inequality, free, base, params)
+    result = optimize(problem, grid_step=args.grid_step, refine_tolerance=args.refine_tolerance)
+    best = _angles(result.best_config)
+    return _emit(args, {
+        "best_angles": best,
+        "canonical_differences": list(result.canonical_differences),
+        "best_margin": result.best_margin,
+        "report": result.best_report.as_dict(),
+    }, ["best angles: " + ", ".join(f"{n}={_fmt(v)}" for n, v in best.items()),
+        "canonical differences: " + ", ".join(map(_fmt, result.canonical_differences))],
+        [result.best_report])
 
 
 def _cmd_verify_theorem(args) -> int:
-    try:
-        report = verify_theorem(args.U, args.V, samples=args.samples, seed=args.seed)
-    except ValueError as exc:  # a box or sample count out of range
-        raise ConfigError(str(exc)) from exc
-    out = sys.stdout
-    if args.format == "json":
-        _write_json(out, {
-            "U": args.U, "V": args.V, "samples": args.samples, "seed": args.seed,
-            "min_vertex_value": report.min_vertex_value,
-            "argmin_vertex": list(report.argmin_vertex),
-            "min_sampled_value": report.min_sampled_value,
-        })
-    else:
-        out.write(f"min vertex value: {_fmt(report.min_vertex_value)}\n")
-        out.write("argmin vertex: (" + ", ".join(_fmt(v) for v in report.argmin_vertex) + ")\n")
-        if report.min_sampled_value is not None:
-            out.write(f"min sampled value ({args.samples} points): "
-                      f"{_fmt(report.min_sampled_value)}\n")
-    return 0
+    report = verify_theorem(args.U, args.V, samples=args.samples, seed=args.seed)
+    lines = [f"min vertex value: {_fmt(report.min_vertex_value)}",
+             "argmin vertex: (" + ", ".join(map(_fmt, report.argmin_vertex)) + ")"]
+    if report.min_sampled_value is not None:
+        lines.append(f"min sampled value ({args.samples} points): "
+                     f"{_fmt(report.min_sampled_value)}")
+    return _emit(args, {
+        "U": args.U, "V": args.V, "samples": args.samples, "seed": args.seed,
+        "min_vertex_value": report.min_vertex_value,
+        "argmin_vertex": list(report.argmin_vertex),
+        "min_sampled_value": report.min_sampled_value,
+    }, lines)
 
 
 def _cmd_lhv_bound(args) -> int:
-    try:
-        fid = normalize_functional_id(args.functional)
-        result = local_bound(fid, args.constraint)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = sys.stdout
-    if args.format == "json":
-        _write_json(out, {
-            "functional": result.functional,
-            "constraint": result.constraint,
-            "bound": result.bound,
-            "witness": {"side1": result.witness_side1, "side2": result.witness_side2},
-            "strategies_examined": result.n_strategies,
-        })
-    else:
-        out.write(f"{result.functional} under constraint '{result.constraint}': "
-                  f"bound {_fmt(result.bound)}\n")
-        out.write(f"witness side1={result.witness_side1} side2={result.witness_side2}\n")
-        out.write(f"strategies examined: {result.n_strategies}\n")
-    return 0
+    result = local_bound(normalize_functional_id(args.functional), args.constraint)
+    return _emit(args, {
+        "functional": result.functional,
+        "constraint": result.constraint,
+        "bound": result.bound,
+        "witness": {"side1": result.witness_side1, "side2": result.witness_side2},
+        "strategies_examined": result.n_strategies,
+    }, [f"{result.functional} under constraint '{result.constraint}': "
+        f"bound {_fmt(result.bound)}",
+        f"witness side1={result.witness_side1} side2={result.witness_side2}",
+        f"strategies examined: {result.n_strategies}"])
 
 
 # The most models one lhv-sample run draws: 13 to 30 s at the 0.13 ms
@@ -456,15 +409,11 @@ def _cmd_lhv_sample(args) -> int:
         raise ConfigError(
             f"--models times --strategies must be at most {MAX_DRAWN_STRATEGIES}, "
             f"got {args.models} * {args.strategies}")
-    try:
-        fid = normalize_functional_id(args.functional)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fid = normalize_functional_id(args.functional)
     if fid not in FUNCTIONALS:
         raise ConfigError(f"{fid} is not a settings-table functional")
     f = FUNCTIONALS[fid]
-    worst = None
-    worst_seed = None
+    worst = worst_seed = None
     tie = args.tie_r or fid == "STRONG46"
     for i in range(args.models):
         model = sample_random_model(args.seed + i, args.strategies, args.constraint,
@@ -478,18 +427,12 @@ def _cmd_lhv_sample(args) -> int:
             worst_seed = args.seed + i
     if worst is None:
         raise EvaluationError("no sampled model produced an evaluable table")
-    out = sys.stdout
-    if args.format == "json":
-        _write_json(out, {
-            "functional": fid, "constraint": args.constraint,
-            "models": args.models, "strategies": args.strategies,
-            "worst_margin": worst, "worst_model_seed": worst_seed,
-        })
-    else:
-        out.write(f"{fid} over {args.models} random models "
-                  f"({args.constraint}): worst margin {_fmt(worst)} "
-                  f"(model seed {worst_seed})\n")
-    return 0
+    return _emit(args, {
+        "functional": fid, "constraint": args.constraint,
+        "models": args.models, "strategies": args.strategies,
+        "worst_margin": worst, "worst_model_seed": worst_seed,
+    }, [f"{fid} over {args.models} random models ({args.constraint}): "
+        f"worst margin {_fmt(worst)} (model seed {worst_seed})"])
 
 
 # ---------------------------------------------------------------------------
@@ -505,17 +448,24 @@ def _add_source_args(p) -> None:
                    help="replace the computed depolarization factor")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, without the usage text."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; dests are config keys."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellbench",
         description="Two-channel Bell-inequality toolkit for cascade-photon experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, func, sections=()):
+    def command(name, help, func, sections=(), formats=("text", "json", "csv")):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--config", help="JSON config file with mode sections")
         p.set_defaults(func=func, sections=sections)
         return p
@@ -552,18 +502,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=float, dest="grid_step")
     p.add_argument("--refine-tol", type=float, dest="refine_tolerance", metavar="REFINE_TOL")
 
+    # Commands with no reports have no CSV table to print.
     p = command("verify-theorem", "check the algebraic theorem", _cmd_verify_theorem,
-                ("theorem",))
+                ("theorem",), ("text", "json"))
     p.add_argument("--U", type=float)
     p.add_argument("--V", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
 
-    p = command("lhv-bound", "exhaustive local bound", _cmd_lhv_bound)
+    p = command("lhv-bound", "exhaustive local bound", _cmd_lhv_bound,
+                formats=("text", "json"))
     p.add_argument("functional")
     p.add_argument("constraint", choices=CONSTRAINTS, nargs="?", default="none")
 
-    p = command("lhv-sample", "worst margin over random local models", _cmd_lhv_sample)
+    p = command("lhv-sample", "worst margin over random local models", _cmd_lhv_sample,
+                formats=("text", "json"))
     p.add_argument("--functional", required=True)
     p.add_argument("--constraint", choices=CONSTRAINTS, default="none")
     p.add_argument("--models", type=int, default=1000)
@@ -583,10 +536,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _resolve(args)
         return args.func(args)
-    except ConfigError as exc:
+    # Every ValueError bellbench raises (ConfigError among them) rejects a
+    # value passed in.  A computation that cannot proceed raises
+    # EvaluationError: no r,r coincidences, an empty run, a failed theorem
+    # check, no admissible strategy, no applicable inequality.
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EvaluationError, ValueError) as exc:
+    except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

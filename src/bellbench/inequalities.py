@@ -105,6 +105,9 @@ class TheoremPoint:
 def _check_box(U: float, V: float) -> None:
     if not (math.isfinite(U) and math.isfinite(V) and U >= 0 and V >= 0):
         raise ValueError(f"U and V must be finite and non-negative, got U={U!r}, V={V!r}")
+    # Every intermediate of _z_array lies within 8 * max(U, V, U * V).
+    if not math.isfinite(8.0 * max(U, V, U * V)):
+        raise ValueError(f"8*max(U, V, U*V) must be finite, got U={U!r}, V={V!r}")
 
 
 def _z_array(x: np.ndarray, U: float, V: float, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -361,6 +364,9 @@ def _pair_rate_no_polarizers(params: ExperimentParams) -> float:
 
 def eval_ch(params: ExperimentParams, phi_setting: float = 22.5) -> InequalityReport:
     """One-channel inequality needing five measured rates; bound 0 from above."""
+    # The rates take the cosine of up to 2 * 3 * phi_setting degrees.
+    if not abs(phi_setting) < 1e307:
+        raise ValueError(f"|phi_setting| must be below 1e307, got {phi_setting!r}")
     p1 = _single_channel_rate(params, phi_setting)
     p3 = _single_channel_rate(params, 3.0 * phi_setting)
     p_one = params.pair_rate_one_polarizer()

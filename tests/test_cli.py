@@ -1,9 +1,13 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
+import re
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellbench import AngleConfig, cli
 from bellbench.cli import _CONFIG_SECTIONS, MAX_DRAWN_STRATEGIES, MAX_MODELS, main
@@ -587,3 +591,179 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["seed"] == expected
 
+
+
+# ---------------------------------------------------------------------------
+# The boundary: a value bellbench rejects exits 2, a computation that
+# cannot proceed exits 3, each with one line on stderr and nothing on stdout.
+
+_REAL = ["--eta", "0.9", "--phi", "30", "--angles", "60,120,0,0,0"]
+_OPTIMIZE = ["optimize", "--ideal", "--ineq", "chsh", "--free", "a,b", "--grid-step", "30"]
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["predict", "--ideal", "--angles", "60,120,0,0,0", "--ineq", "bogus"], "config error:"),
+    (["predict", "--ideal", "--angles", "nan,0,0,0,0"], "config error:"),
+    (["predict", "--ideal", "--angles", "1e400,0,0,0,0"], "config error:"),
+    ([*_OPTIMIZE, "--angles", "nan,0,0,0,0"], "config error:"),
+    ([*_OPTIMIZE, "--angles", "1e400,0,0,0,0"], "config error:"),
+    (["predict", *_REAL, "--phi-setting", "nan"], "config error:"),
+    (["predict", *_REAL, "--phi-setting", "1e400"], "config error:"),
+    (["predict", *_REAL, "--phi-setting", "1e308"], "config error:"),
+    (["lhv-sample", "--functional", "ineq19", "--models", "2", "--seed", "-1"], "config error:"),
+    (["lhv-sample", "--functional", "ineq19", "--models", "2", "--seed", str(2 ** 64)],
+     "config error:"),
+    (["verify-theorem", "--seed", str(2 ** 64)], "config error:"),
+    (["verify-theorem", "--V", "1e308"], "config error:"),
+    (["verify-theorem", "--U", "1e308", "--V", "0"], "config error:"),
+    (["verify-theorem", "--U", "4.5e153", "--V", "1e154"], "config error:"),
+    (["verify-theorem", "--format", "csv"], "bellbench verify-theorem: error:"),
+    (["lhv-bound", "ineq19", "--format", "csv"], "bellbench lhv-bound: error:"),
+    (["lhv-sample", "--functional", "ineq19", "--models", "2", "--format", "csv"],
+     "bellbench lhv-sample: error:"),
+    (["lhv-sample", "--functional", "ineq19", "--models", "x"], "bellbench lhv-sample: error:"),
+    (["bogus"], "bellbench: error:"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_rejected_value_is_one_line_exit_2(capsys, argv, prefix):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_counts_out_is_a_config_error(capsys, tmp_path, where):
+    path = tmp_path / "missing" / "run.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "simulate", "--ideal", "--angles", "60,120,0,0,0",
+                         "--pairs", "10", "--counts-out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot write {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_negative_count_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "neg.csv"
+    path.write_text("setting,o1,o2,count_or_prob\na:b,+,+,-5\n")
+    code, out, err = run(capsys, "evaluate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+# Per seeded subcommand: a cheap run and the config section holding its
+# seed (lhv-sample reads none).
+_SEEDED = {
+    "simulate": (["simulate", "--ideal", "--angles", "0,0,0,0,0", "--pairs", "10"], "run"),
+    "verify-theorem": (["verify-theorem", "--samples", "10"], "theorem"),
+    "lhv-sample": (["lhv-sample", "--functional", "ineq19", "--models", "2"], None),
+}
+
+
+@pytest.mark.parametrize("seed,code", [(-1, 2), (2 ** 64, 2), (2 ** 64 - 1, 0), (0, 0)])
+@pytest.mark.parametrize("command,given", [
+    (command, given) for command, (_, section) in _SEEDED.items()
+    for given in ("flag", "file", "env") if section or given != "file"])
+def test_one_seed_rule(capsys, tmp_path, monkeypatch, command, given, seed, code):
+    argv, section = _SEEDED[command]
+    monkeypatch.delenv("BELLBENCH_SEED", raising=False)
+    if given == "flag":
+        argv = [*argv, "--seed", str(seed)]
+    elif given == "file":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {"seed": seed}}))
+        argv = [*argv, "--config", str(cfg)]
+    else:
+        monkeypatch.setenv("BELLBENCH_SEED", str(seed))
+    got, out, err = run(capsys, *argv, "--format", "json")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == "config error: seed must be an unsigned 64-bit integer\n"
+    else:
+        payload = json.loads(out)
+        assert payload.get("seed", payload.get("worst_model_seed")) in (seed, seed + 1)
+
+
+# The argv fuzz: a valid, cheap run of each subcommand (flag -> value; a
+# key without dashes is a positional), with one or two values replaced
+# from the pool, in any of the three formats.
+_FUZZ_BASE = {
+    "predict": {"--eta": "0.9", "--phi": "30", "--f-override": "0.8",
+                "--angles": "60,120,0,0,0", "--ineq": "all", "--phi-setting": "22.5"},
+    "evaluate": {"input": "{counts}"},
+    "simulate": {"--eta": "0.9", "--phi": "30", "--angles": "60,120,0,0,0", "--pairs": "100",
+                 "--seed": "7", "--threads": "1"},
+    "optimize": {"--eta": "0.9", "--phi": "30", "--ineq": "chsh", "--free": "a,b",
+                 "--angles": "0,0,0,0,0", "--grid-step": "30", "--refine-tol": "0.01"},
+    "verify-theorem": {"--U": "1", "--V": "2", "--samples": "100", "--seed": "3"},
+    "lhv-bound": {"functional": "ineq19", "constraint": "none"},
+    "lhv-sample": {"--functional": "chsh", "--constraint": "none", "--models": "3",
+                   "--strategies": "4", "--seed": "1"},
+}
+
+_FUZZ_POOL = (
+    "0", "-1", "1", "30", "90", "0.5", "nan", "inf", "-inf", "1e308", "1e400", "", "x",
+    str(2 ** 64), "all", "chsh", "ineq19", "strong41", "strong46", "bell65", "ch47", "fc48",
+    "none", "gr", "supplementary", "60,120,0,0,0", "nan,0,0,0,0", "1e400,0,0,0,0", "0,0,0,0",
+    "a,b", "a,a", "a_prime,r")
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    args = dict(_FUZZ_BASE[command])
+    for key in draw(st.lists(st.sampled_from(sorted(args)), min_size=1, max_size=2)):
+        args[key] = draw(st.sampled_from(_FUZZ_POOL))
+    args["--format"] = draw(st.sampled_from(("text", "json", "csv")))
+    return command, args
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON output holds {name}")
+
+
+def _boundary_holds(command, args, counts) -> int:
+    """Run one argv and check the boundary: nothing escapes ``main`` (an
+    overflow warning neither), the exit code is 0, 2 or 3, a failure is
+    one stderr line and no stdout, and a success prints no nan or inf."""
+    argv = [command] + [f"{k}={v}" if k.startswith("--") else v.format(counts=counts)
+                        for k, v in args.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), argv
+    if code:
+        assert out == "", argv
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    elif args["--format"] == "json":
+        json.loads(out, parse_constant=_no_constant)
+    else:
+        assert out and not re.search(r"\b(nan|inf)\b", out), (argv, out)
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_counts(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "run.csv"
+    assert main(["simulate", "--ideal", "--angles", "60,120,0,0,0", "--pairs", "100",
+                 "--counts-out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(_FUZZ_BASE))
+def test_fuzz_base_runs(fuzz_counts, command, fmt):
+    no_csv = command in ("verify-theorem", "lhv-bound", "lhv-sample")
+    code = _boundary_holds(command, {**_FUZZ_BASE[command], "--format": fmt}, fuzz_counts)
+    assert code == (2 if no_csv and fmt == "csv" else 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_fuzzed_argv())
+def test_argv_fuzz(fuzz_counts, case):
+    _boundary_holds(*case, fuzz_counts)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,8 @@ from conftest import ALL_PAIRS, OPTIMAL_ANGLES
 
 SQRT2 = math.sqrt(2.0)
 BLOCK = inequalities._THEOREM_BLOCK
+# The largest cap whose eightfold, the bound on every intermediate of Z, is finite.
+LARGEST_CAP = sys.float_info.max / 8
 
 
 def value(fid, table):
@@ -106,6 +109,26 @@ class TestTheorem:
                 verify_theorem(U, V)
             with pytest.raises(ValueError, match="finite"):
                 TheoremPoint(0, 0, 0, 0, 0, 0, 0, 0, U=U, V=V)
+
+    # U = 1e308 used to give min Z = nan and pass; U*V near 4.5e307 a
+    # false failure at min Z = -inf.
+    @pytest.mark.parametrize("U,V", [(1.0, 1e308), (1e308, 0.0), (4.5e153, 1e154),
+                                     (LARGEST_CAP * (1 + 1e-15), 1.0)])
+    def test_rejects_boxes_whose_form_overflows(self, U, V):
+        for u, v in ((U, V), (V, U)):
+            with pytest.raises(ValueError, match="finite"):
+                verify_theorem(u, v)
+            with pytest.raises(ValueError, match="finite"):
+                TheoremPoint(0, 0, 0, 0, 0, 0, 0, 0, U=u, V=v)
+
+    @pytest.mark.parametrize("U,V", [(LARGEST_CAP, 1.0), (LARGEST_CAP, 0.0),
+                                     (math.sqrt(LARGEST_CAP), math.sqrt(LARGEST_CAP))])
+    def test_largest_boxes_do_not_overflow(self, U, V):
+        for u, v in ((U, V), (V, U)):
+            with np.errstate(over="raise", invalid="raise"):
+                report = verify_theorem(u, v, samples=1000, seed=5)
+            assert math.isfinite(report.min_vertex_value)
+            assert 0.0 <= report.min_sampled_value < math.inf
 
     @pytest.mark.parametrize("samples", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_blocked_minimum_keeps_the_sample_stream(self, samples):
@@ -258,6 +281,16 @@ class TestOneChannelComparisons:
     def test_fc_value(self):
         p = ExperimentParams(eta=0.9, phi_deg=30.0)
         assert eval_fc(p).value == pytest.approx(p.f * SQRT2 / 4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("phi_setting", [math.nan, math.inf, -math.inf, 1e308])
+    def test_ch_rejects_a_setting_out_of_range(self, phi_setting):
+        # nan used to give value nan, reported as satisfied; inf and 1e308
+        # a "math domain error" from the cosine of 6 * phi_setting degrees.
+        with pytest.raises(ValueError, match="phi_setting"):
+            eval_ch(ExperimentParams(eta=0.9, phi_deg=30.0), phi_setting)
+
+    def test_ch_at_a_large_finite_setting(self):
+        assert math.isfinite(eval_ch(ExperimentParams(eta=0.9, phi_deg=30.0), 1e306).value)
 
     def test_ch_independent_of_eta(self):
         # Every rate carries the same eta^2 factor, so the ratio cannot
