@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -28,6 +29,7 @@ from .inequalities import (
 )
 from .lhv import CONSTRAINTS, MAX_STRATEGIES, ensemble_table, local_bound, sample_random_model
 from .model import (
+    ORIENTATIONS,
     AngleConfig,
     CountTable,
     EvaluationError,
@@ -40,10 +42,8 @@ from .montecarlo import RunSpec, run_reports, simulate
 from .optimize import OptimizationProblem, optimize
 from .qm import ExperimentParams, settings_table
 
-ALL_PAIRS = (
-    ("a", "b"), ("b_prime", "a"), ("b", "a_prime"), ("a_prime", "b_prime"),
-    ("a_prime", "r"), ("r", "b_prime"), ("r", "r"),
-)
+# Every setting of the registry's functionals, in registry order.
+ALL_PAIRS = tuple(dict.fromkeys(label for f in FUNCTIONALS.values() for label in f.required_pairs))
 
 _FROM_SYMBOL = {o.value: i for i, o in enumerate(OUTCOMES)}
 
@@ -72,7 +72,7 @@ _KINDS = {
 _CONFIG_SECTIONS = {
     "experiment": {"ideal": "a boolean", "eta": "a number", "phi_deg": "a number",
                    "f_override": "a number"},
-    "angles": {name: "a number" for name in ("a", "b", "a_prime", "b_prime", "r")},
+    "angles": {name: "a number" for name in ORIENTATIONS},
     "run": {"pairs_per_setting": "an integer", "seed": "an integer", "threads": "an integer"},
     "optimize": {"inequality": "a string", "free": "a string or a list of strings",
                  "grid_step": "a number", "refine_tolerance": "a number"},
@@ -103,6 +103,9 @@ def load_config(path: str) -> dict:
                 del body[key]
             elif not _KINDS[kinds[key]](value):
                 raise ConfigError(f"{section}.{key} must be {kinds[key]}, got {value!r}")
+            elif (kinds[key] == "a number" and isinstance(value, int)
+                  and abs(value) > sys.float_info.max):
+                raise ConfigError(f"{section}.{key} is beyond the float range")
     return cfg
 
 
@@ -149,13 +152,13 @@ def _parse_angles(value) -> AngleConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad angles section: {exc}") from exc
     parts = value.split(",")
-    if len(parts) != 5:
+    if len(parts) != len(ORIENTATIONS):
         raise ConfigError("--angles needs five comma-separated degrees: a,b,a',b',r")
     try:
-        a, b, ap, bp, r = (float(p) for p in parts)
+        angles = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"bad angle in {value!r}") from exc
-    return AngleConfig(a, b, ap, bp, r)
+    return AngleConfig(*angles)
 
 
 def _parse_params(args) -> Optional[ExperimentParams]:
@@ -170,13 +173,6 @@ def _parse_params(args) -> Optional[ExperimentParams]:
 
 # ---------------------------------------------------------------------------
 # Output: every subcommand's result goes through _emit.
-
-_ANGLE_NAMES = ("a", "b", "a_prime", "b_prime", "r")
-
-
-def _angles(config: AngleConfig) -> dict:
-    return {n: getattr(config, n) for n in _ANGLE_NAMES}
-
 
 def _emit(args, payload: dict, lines: Sequence[str] = (),
           reports: Sequence[InequalityReport] = ()) -> int:
@@ -294,7 +290,7 @@ def _cmd_predict(args) -> int:
     reports = _predict_reports(table, params, args.ineq, args.phi_setting)
     diffs = config.canonical_differences()
     return _emit(args, {
-        "angles": _angles(config),
+        "angles": dataclasses.asdict(config),
         "canonical_differences": list(diffs),
         "distributions": {":".join(label): [list(row) for row in table.get(label).p]
                           for label in table},
@@ -348,7 +344,7 @@ def _cmd_optimize(args) -> int:
     base = _parse_angles(args.angles) if args.angles is not None else AngleConfig(0, 0, 0, 0, 0)
     problem = OptimizationProblem(args.inequality, free, base, params)
     result = optimize(problem, grid_step=args.grid_step, refine_tolerance=args.refine_tolerance)
-    best = _angles(result.best_config)
+    best = dataclasses.asdict(result.best_config)
     return _emit(args, {
         "best_angles": best,
         "canonical_differences": list(result.canonical_differences),

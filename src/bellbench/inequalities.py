@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -43,16 +43,10 @@ class InequalityReport:
     stderr: Optional[float] = None
 
     def as_dict(self) -> dict:
-        d = {
-            "id": self.id,
-            "value": self.value,
-            "bound": self.bound,
-            "direction": self.direction,
-            "violated": self.violated,
-            "margin": self.margin,
-        }
-        if self.stderr is not None:
-            d["stderr"] = self.stderr
+        """The fields in order, leaving out ``stderr`` when it is None."""
+        d = asdict(self)
+        if self.stderr is None:
+            del d["stderr"]
         return d
 
 

@@ -31,6 +31,7 @@ from .model import (
     JointDistribution,
     Outcome,
     OUTCOMES,
+    SIDES,
     SettingLabel,
     SettingsTable,
     label_sides,
@@ -254,8 +255,6 @@ def ensemble_table(model: LhvModel, pairs: Iterable[SettingLabel]) -> SettingsTa
 
 CONSTRAINTS = ("none", "supplementary", "gr")
 
-_SIDE_OF = {"a": 1, "a_prime": 1, "b": 2, "b_prime": 2}
-
 
 def _orientation_slots(f: Functional, constraint: str) -> tuple[
         SlotNames, list[tuple[tuple[int, str], tuple[int, str]]]]:
@@ -268,7 +267,7 @@ def _orientation_slots(f: Functional, constraint: str) -> tuple[
     tied = TIED_ORIENTATIONS.get(f.id, {})
     used = [(side, name) for label in f.required_pairs
             for name, side in zip(label, label_sides(label))]
-    ties = [((side, name), (_SIDE_OF.get(target, side), target))
+    ties = [((side, name), (SIDES[target] or side, target))
             for name, target in tied.items() for side in (1, 2) if (side, name) in used]
     aliases = dict(ties)
     sides: dict[int, list[str]] = {1: [], 2: []}
@@ -349,8 +348,9 @@ def local_bound(functional: str, constraint: str = "none") -> BoundResult:
 # drawn as one array, 12 doubles per strategy.
 MAX_STRATEGIES = 10 ** 4
 
-_ORIENTATIONS = (("a", "a_prime", "r"), ("b", "b_prime", "r"))
-_PRIMED = ("a_prime", "b_prime")
+# Each side's orientations (r on both), and those the reduced geometry sets along r.
+_ORIENTATIONS = tuple(tuple(n for n, s in SIDES.items() if s in (0, side)) for side in (1, 2))
+_PRIMED = tuple(TIED_ORIENTATIONS["STRONG46"])
 
 
 def _draw_strategies(

@@ -7,6 +7,7 @@ are built on these types.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,11 +66,11 @@ class AngleConfig:
     r: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "a_prime", "b_prime", "r"):
+        for name in ORIENTATIONS:
             object.__setattr__(self, name, reduce_angle(getattr(self, name)))
 
     def orientation(self, name: str) -> float:
-        if name not in ("a", "b", "a_prime", "b_prime", "r"):
+        if name not in ORIENTATIONS:
             raise ValueError(f"unknown orientation {name!r}")
         return getattr(self, name)
 
@@ -90,10 +91,15 @@ class AngleConfig:
             self.difference("a_prime", "b_prime"),
         )
 
-    def replace(self, **angles: float) -> "AngleConfig":
-        values = {n: getattr(self, n) for n in ("a", "b", "a_prime", "b_prime", "r")}
-        values.update(angles)
-        return AngleConfig(**values)
+    replace = dataclasses.replace
+
+
+# The experiment's geometry, read by every layer that names orientations:
+# the orientations in AngleConfig's field order, and each one's polarizer.
+# ``r`` is 0: it floats, taking whichever side the other member of a pair
+# leaves free.
+ORIENTATIONS: tuple[str, ...] = tuple(f.name for f in dataclasses.fields(AngleConfig))
+SIDES: dict[str, int] = dict(zip(ORIENTATIONS, (1, 2, 1, 2, 0)))
 
 
 @dataclass(frozen=True)
@@ -199,6 +205,10 @@ class CountTable:
                     raise ValueError(f"counts must be non-negative integers, got {v!r}")
         if sum(v for row in self.n for v in row) != self.total_pairs:
             raise ValueError("counts do not sum to total_pairs")
+        try:
+            float(self.total_pairs)  # as the error bars read it
+        except OverflowError:
+            raise ValueError("count total is beyond the float range") from None
 
     def count(self, o1: Outcome, o2: Outcome) -> int:
         return self.n[_IDX[o1]][_IDX[o2]]
@@ -215,39 +225,18 @@ def empirical_distribution(c: CountTable) -> JointDistribution:
     return JointDistribution(tuple(tuple(v / N for v in row) for row in c.n))
 
 
-# Orientation labels and which polarizer they belong to.  ``r`` floats: it
-# takes whichever side the other member of the pair leaves free.
-_SIDE1 = {"a", "a_prime"}
-_SIDE2 = {"b", "b_prime"}
-
 SettingLabel = tuple[str, str]
 
 
 def label_sides(label: SettingLabel) -> tuple[int, int]:
     """Map a labeled pair to the polarizer side (1 or 2) of each member."""
-    n1, n2 = label
-    if n1 in _SIDE1:
-        s1 = 1
-    elif n1 in _SIDE2:
-        s1 = 2
-    elif n1 == "r":
-        s1 = 0
-    else:
-        raise ValueError(f"unknown orientation {n1!r}")
-    if n2 in _SIDE1:
-        s2 = 1
-    elif n2 in _SIDE2:
-        s2 = 2
-    elif n2 == "r":
-        s2 = 0
-    else:
-        raise ValueError(f"unknown orientation {n2!r}")
-    if s1 == 0 and s2 == 0:
-        return (1, 2)
-    if s1 == 0:
-        s1 = 2 if s2 == 1 else 1
-    if s2 == 0:
-        s2 = 2 if s1 == 1 else 1
+    try:
+        s1, s2 = (SIDES[name] for name in label)
+    except KeyError as exc:
+        raise ValueError(f"unknown orientation {exc.args[0]!r}") from None
+    # A floating r takes the side the other member leaves free; (r, r) is (1, 2).
+    s1 = s1 or 3 - (s2 or 2)
+    s2 = s2 or 3 - s1
     if s1 == s2:
         raise ValueError(f"setting {label!r} puts both orientations on one polarizer")
     return (s1, s2)

@@ -35,10 +35,8 @@ from .inequalities import (
     InequalityReport,
     normalize_functional_id,
 )
-from .model import AngleConfig, reduce_angle
+from .model import ORIENTATIONS as _FREE_ORDER, AngleConfig, reduce_angle
 from .qm import ExperimentParams, quantum_cells, settings_table
-
-_FREE_ORDER = ("a", "b", "a_prime", "b_prime", "r")
 
 
 @dataclass(frozen=True)
@@ -102,19 +100,13 @@ def grid_points(n_free: int, grid_step: float) -> int:
     return round(steps) ** n_free
 
 
-def _constrain(problem: OptimizationProblem, config: AngleConfig) -> AngleConfig:
-    # Two functionals are only meaningful on a reduced geometry, and the
-    # search space is pinned accordingly (see TIED_ORIENTATIONS).
-    tied = TIED_ORIENTATIONS.get(problem.inequality, {})
-    return config.replace(**{name: getattr(config, target) for name, target in tied.items()})
-
-
-def _setting_slots(f: Functional) -> list[tuple[int, int]]:
-    """Each setting's two orientations as indices into _FREE_ORDER, after
-    the functional's tied orientations are set along their targets."""
+def _tie_slots(f: Functional) -> tuple[list[int], list[tuple[int, int]]]:
+    """The tie slot map: each orientation's slot, the index into _FREE_ORDER
+    of the orientation whose value it takes (its target's in a reduced
+    geometry, see TIED_ORIENTATIONS, else its own), and each setting's slots."""
     tied = TIED_ORIENTATIONS.get(f.id, {})
     slot = {name: _FREE_ORDER.index(tied.get(name, name)) for name in _FREE_ORDER}
-    return [(slot[n1], slot[n2]) for n1, n2 in f.required_pairs]
+    return list(slot.values()), [(slot[n1], slot[n2]) for n1, n2 in f.required_pairs]
 
 
 def _reduce(angles: np.ndarray) -> np.ndarray:
@@ -135,7 +127,7 @@ def _grid_search(problem: OptimizationProblem, f: Functional, free: list[int],
     k, n = len(free), len(grid)
     lead = next(i for i in range(k) if n ** (k - 1 - i) <= _SLAB)
     chunk = min(n, _SLAB // n ** (k - 1 - lead))
-    slots = _setting_slots(f)
+    _, slots = _tie_slots(f)
     fixed = _reduce(base)
     best_index, best_margin = (0,) * k, -math.inf
     for prefix in itertools.product(range(n), repeat=lead):
@@ -172,7 +164,7 @@ def _cosine_terms(problem: OptimizationProblem,
     denominator must be angle-free; with no reference coincidences every
     margin is -inf and there is nothing to climb.
     """
-    slots = _setting_slots(f)
+    _, slots = _tie_slots(f)
     cells = quantum_cells(np.array([0.0, 45.0, 30.0]), problem.params)
     terms = cells @ f.numer.T
     slope = terms[0] - terms[1]
@@ -235,8 +227,10 @@ def optimize(
         if moved < refine_tolerance:
             break
 
+    slot, _ = _tie_slots(f)
+
     def scored(point: np.ndarray) -> tuple[AngleConfig, InequalityReport]:
-        config = _constrain(problem, AngleConfig(*point))
+        config = AngleConfig(*point[slot])
         return config, f.evaluate(settings_table(config, f.required_pairs, problem.params))
 
     best_config, report = scored(current)

@@ -105,10 +105,6 @@ class ExperimentParams:
         """Both photons detected, no polarizers: eta^2 (Omega/4pi)^2 g."""
         return self.eta ** 2 * self.omega_fraction ** 2 * self.g
 
-    def single_rate_no_polarizer(self) -> float:
-        """Total detection with the polarizer removed: eta * Omega/4pi."""
-        return self.eta * self.omega_fraction
-
     def pair_rate_one_polarizer(self) -> float:
         """One side's polarizer removed: eta^2 (Omega/8pi)(Omega/4pi) g."""
         return self.eta ** 2 * self.half_omega_fraction * self.omega_fraction * self.g

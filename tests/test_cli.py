@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import warnings
 
@@ -591,6 +592,31 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["seed"] == expected
 
+    # Each number key read as a float, with the subcommand that reads it.
+    @pytest.mark.parametrize("argv,section,key", [
+        (["verify-theorem"], "theorem", "U"),
+        (["verify-theorem"], "theorem", "V"),
+        *[(["predict", "--ideal"], "angles", name) for name in _CONFIG_SECTIONS["angles"]],
+        (["optimize", "--ideal", "--ineq", "chsh", "--free", "a,b"], "optimize", "grid_step"),
+        (["optimize", "--ideal", "--ineq", "chsh", "--free", "a,b", "--grid-step", "30"],
+         "optimize", "refine_tolerance"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_number_beyond_float_range(self, capsys, tmp_path, argv, section, key):
+        body = dict.fromkeys(_CONFIG_SECTIONS["angles"], 0) if section == "angles" else {}
+        body[key] = 10 ** 400
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: body}))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"config error: {section}.{key} is beyond the float range\n"
+
+    def test_integer_numbers_stay_integers(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorem": {"U": 1, "V": 2}}))
+        code, out, _ = run(capsys, "verify-theorem", "--config", str(cfg), "--format", "json")
+        assert code == 0
+        assert '"U": 1,' in out and '"V": 2,' in out
+
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +675,21 @@ def test_negative_count_is_a_config_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count,code", [(10 ** 400, 2), (92 * 10 ** 20, 0)],
+                         ids=["beyond", "within"])
+def test_count_total_beyond_float_range_is_a_config_error(capsys, tmp_path, count, code):
+    path = tmp_path / "big.csv"
+    path.write_text("setting,o1,o2,count_or_prob\n" + f"a:b,+,+,{count}\n" + "".join(
+        f"{label},+,+,5\n" for label in ("b_prime:a", "b:a_prime", "a_prime:b_prime")))
+    got, out, err = run(capsys, "evaluate", str(path))
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == "config error: count total is beyond the float range\n"
+    else:
+        assert out.startswith("INEQ17") and err == ""
 
 
 # Per seeded subcommand: a cheap run and the config section holding its
@@ -767,3 +808,52 @@ def test_fuzz_base_runs(fuzz_counts, command, fmt):
 @given(case=_fuzzed_argv())
 def test_argv_fuzz(fuzz_counts, case):
     _boundary_holds(*case, fuzz_counts)
+
+
+# The config-file fuzz: a valid, cheap config for the subcommands that
+# read sections, with one or two keys, or an unknown key or section, set
+# to a value from the pool.  json.dumps writes NaN and Infinity literals.
+_FUZZ_CONFIG = {
+    "experiment": {"ideal": False, "eta": 0.9, "phi_deg": 30, "f_override": 0.8},
+    "angles": {"a": 60, "b": 120, "a_prime": 0, "b_prime": 0, "r": 0},
+    "run": {"pairs_per_setting": 100, "seed": 7, "threads": 1},
+    "optimize": {"inequality": "chsh", "free": "a,b", "grid_step": 30, "refine_tolerance": 0.01},
+    "theorem": {"U": 1, "V": 2, "samples": 100, "seed": 3},
+}
+
+_CONFIG_READERS = ("predict", "simulate", "optimize", "verify-theorem")
+
+_CONFIG_POOL = (
+    10 ** 400, -10 ** 400, 2 ** 64, math.nan, math.inf, -math.inf, -1, -0.5, 0, 1, 45, 1e308,
+    True, "", "x", "a,b", "strong46", [], ["a", "r"], [1], {}, {"a": 1}, None)
+
+
+@st.composite
+def _fuzzed_config(draw):
+    command = draw(st.sampled_from(_CONFIG_READERS))
+    config = {section: dict(body) for section, body in _FUZZ_CONFIG.items()}
+    keys = [(section, key) for section, body in config.items() for key in body]
+    for section, key in draw(st.lists(st.sampled_from(
+            keys + [("run", "bogus"), ("bogus", "a")]), min_size=1, max_size=2)):
+        config.setdefault(section, {})[key] = draw(st.sampled_from(_CONFIG_POOL))
+    return command, config, draw(st.sampled_from(("text", "json")))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
+
+
+@pytest.mark.parametrize("command", _CONFIG_READERS)
+def test_config_fuzz_base_runs(config_path, command):
+    config_path.write_text(json.dumps(_FUZZ_CONFIG))
+    assert _boundary_holds(command, {"--config": str(config_path), "--format": "json"}, None) == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_fuzzed_config())
+def test_config_fuzz(config_path, case):
+    command, config, fmt = case
+    config_path.write_text(json.dumps(config))
+    _boundary_holds(command, {"--config": str(config_path), "--format": fmt}, None)

@@ -157,6 +157,36 @@ class TestLabelSides:
             label_sides(("a", "x"))
 
 
+# Every ordered pair over the five orientations and one unknown name, row
+# = first member, column = second: the sides, or which error is raised
+# (SAME: both on one polarizer; UNKNOWN: the name x is not an orientation).
+SAME, UNKNOWN = "same", "unknown"
+_NAMES = ("a", "b", "a_prime", "b_prime", "r", "x")
+_SIDES = {
+    "a":       (SAME,    (1, 2),  SAME,    (1, 2),  (1, 2),  UNKNOWN),
+    "b":       ((2, 1),  SAME,    (2, 1),  SAME,    (2, 1),  UNKNOWN),
+    "a_prime": (SAME,    (1, 2),  SAME,    (1, 2),  (1, 2),  UNKNOWN),
+    "b_prime": ((2, 1),  SAME,    (2, 1),  SAME,    (2, 1),  UNKNOWN),
+    "r":       ((2, 1),  (1, 2),  (2, 1),  (1, 2),  (1, 2),  UNKNOWN),
+    "x":       (UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN),
+}
+
+
+@pytest.mark.parametrize("label,expected", [
+    ((n1, n2), want) for n1, row in _SIDES.items() for n2, want in zip(_NAMES, row)])
+def test_label_sides_table(label, expected):
+    if expected == SAME:
+        with pytest.raises(ValueError) as exc:
+            label_sides(label)
+        assert str(exc.value) == f"setting {label!r} puts both orientations on one polarizer"
+    elif expected == UNKNOWN:
+        with pytest.raises(ValueError) as exc:
+            label_sides(label)
+        assert str(exc.value) == "unknown orientation 'x'"
+    else:
+        assert label_sides(label) == expected
+
+
 def test_settings_table_missing_setting():
     with pytest.raises(MissingSettingError):
         SettingsTable({}).get(("a", "b"))
