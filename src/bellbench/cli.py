@@ -52,6 +52,15 @@ class ConfigError(ValueError):
     """A rejected input, with the context the library's own message lacks."""
 
 
+def _check_length(text: str, path: str) -> str:
+    """``text``; an integer of more digits than Python converts is a config error."""
+    digits = text.strip().lstrip("+-").replace("_", "")
+    if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits() > 0:
+        raise ConfigError(f"number too long in {path!r}: {len(digits)} digits, "
+                          f"the limit is {sys.get_int_max_str_digits()}")
+    return text
+
+
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
@@ -83,7 +92,7 @@ _CONFIG_SECTIONS = {
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            cfg = json.load(handle)
+            cfg = json.load(handle, parse_int=lambda text: int(_check_length(text, path)))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -202,10 +211,8 @@ def _emit(args, payload: dict, lines: Sequence[str] = (),
 def _write_table_csv(out, tables) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["setting", "o1", "o2", "count_or_prob"])
-    for label, table in tables.items():
-        for o1 in Outcome:
-            for o2 in Outcome:
-                writer.writerow([":".join(label), o1.value, o2.value, str(table.count(o1, o2))])
+    writer.writerows([":".join(label), o1.value, o2.value, str(table.count(o1, o2))]
+                     for label, table in tables.items() for o1 in Outcome for o2 in Outcome)
 
 
 def read_table_csv(path: str):
@@ -218,9 +225,7 @@ def read_table_csv(path: str):
             header = next(reader, None)
             if header != ["setting", "o1", "o2", "count_or_prob"]:
                 raise ConfigError(f"bad CSV header in {path!r}: {header!r}")
-            for row in reader:
-                if not row:
-                    continue
+            for row in filter(None, reader):
                 if len(row) != 4:
                     raise ConfigError(f"bad CSV row: {row!r}")
                 rows.append(row)
@@ -228,36 +233,33 @@ def read_table_csv(path: str):
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
 
     is_counts = all("." not in r[3] and "e" not in r[3].lower() for r in rows)
-    grouped: dict[tuple[str, str], list[list[float]]] = {}
-    seen = set()
+    # Nine cells per setting at 3*o1 + o2; a cell that no row sets (None) is 0.
+    grouped: dict[tuple[str, str], list] = {}
     for setting, o1, o2, value in rows:
         parts = setting.split(":")
         if len(parts) != 2:
             raise ConfigError(f"bad setting label {setting!r}")
-        label = (parts[0], parts[1])
         if o1 not in _FROM_SYMBOL or o2 not in _FROM_SYMBOL:
             raise ConfigError(f"bad outcome symbols in row for {setting!r}")
-        if (label, o1, o2) in seen:
+        cells = grouped.setdefault((parts[0], parts[1]), [None] * 9)
+        i = 3 * _FROM_SYMBOL[o1] + _FROM_SYMBOL[o2]
+        if cells[i] is not None:
             raise ConfigError(f"duplicate row for setting {setting!r}, outcomes ({o1},{o2})")
-        seen.add((label, o1, o2))
-        cell = grouped.setdefault(label, [[0.0] * 3 for _ in range(3)])
         try:
-            cell[_FROM_SYMBOL[o1]][_FROM_SYMBOL[o2]] = (
-                int(value) if is_counts else float(value))
+            cells[i] = int(value) if is_counts else float(value)
         except ValueError as exc:
+            _check_length(value, path)
             raise ConfigError(f"bad value {value!r}") from exc
 
+    zero = 0 if is_counts else 0.0
+    tables = {label: tuple(tuple(zero if v is None else v for v in cells[i:i + 3])
+                           for i in (0, 3, 6)) for label, cells in grouped.items()}
     if is_counts:
-        counts = {}
-        for label, cell in grouped.items():
-            total = sum(int(v) for row in cell for v in row)
-            counts[label] = CountTable(
-                tuple(tuple(int(v) for v in row) for row in cell), total)
-        return counts, None
+        return {label: CountTable(n, sum(map(sum, n))) for label, n in tables.items()}, None
     entries = {}
-    for label, cell in grouped.items():
+    for label, p in tables.items():
         try:
-            entries[label] = JointDistribution(tuple(tuple(row) for row in cell))
+            entries[label] = JointDistribution(p)
         except ValueError as exc:
             raise ConfigError(f"invalid probability table for {label!r}: {exc}") from exc
     return None, SettingsTable(entries)
@@ -315,8 +317,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("number of pairs per setting required (--pairs)")
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
-    analytic = settings_table(config, ALL_PAIRS, params)
-    spec = RunSpec(pairs_per_setting=pairs, seed=seed, settings=analytic)
+    spec = RunSpec(pairs_per_setting=pairs, seed=seed,
+                   settings=settings_table(config, ALL_PAIRS, params))
     result = simulate(spec, workers=args.threads)
     reports = run_reports(result.counts)
     if args.counts_out:

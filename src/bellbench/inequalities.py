@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -44,10 +44,8 @@ class InequalityReport:
 
     def as_dict(self) -> dict:
         """The fields in order, leaving out ``stderr`` when it is None."""
-        d = asdict(self)
-        if self.stderr is None:
-            del d["stderr"]
-        return d
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "stderr" or self.stderr is not None}
 
 
 def make_report(ineq_id: str, value: float, bound: float, direction: str,
@@ -59,13 +57,11 @@ def make_report(ineq_id: str, value: float, bound: float, direction: str,
     """
     if direction == GE:
         margin = bound - value
-        violated = value < bound
     elif direction == LE:
         margin = value - bound
-        violated = value > bound
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return InequalityReport(ineq_id, value, bound, direction, violated, margin, stderr)
+    return InequalityReport(ineq_id, value, bound, direction, margin > 0, margin, stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +271,10 @@ class Functional:
         their variances add.  A ratio A/B is linearized with gradient
         (a - (A/B) b) / B, which is first order and therefore approximate.
         """
-        tables = []
-        for label in self.required_pairs:
-            if label not in counts:
-                raise MissingSettingError(f"missing setting {label!r}")
-            tables.append(counts[label])
+        missing = [label for label in self.required_pairs if label not in counts]
+        if missing:
+            raise MissingSettingError(f"missing setting {missing[0]!r}")
+        tables = [counts[label] for label in self.required_pairs]
         sizes = np.array([c.total_pairs for c in tables], dtype=float)
         if (sizes < 1).any():
             raise EvaluationError("empty run")

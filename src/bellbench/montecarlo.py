@@ -50,12 +50,20 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Counts, empirical tables and binomial standard errors per setting."""
+    """A run's counts per setting; ``empirical`` and ``stderr`` are read from them."""
 
     spec: RunSpec
     counts: Mapping[SettingLabel, CountTable]
-    empirical: Mapping[SettingLabel, JointDistribution]
-    stderr: Mapping[SettingLabel, tuple[float, ...]]
+
+    @property
+    def empirical(self) -> dict[SettingLabel, JointDistribution]:
+        return {label: empirical_distribution(c) for label, c in self.counts.items()}
+
+    @property
+    def stderr(self) -> dict[SettingLabel, tuple[float, ...]]:
+        return {label: tuple(math.sqrt(p * (1.0 - p) / c.total_pairs)
+                             for p in empirical_distribution(c).flat())
+                for label, c in self.counts.items()}
 
 
 def _sample_setting(dist: JointDistribution, n: int, key: int) -> CountTable:
@@ -66,8 +74,7 @@ def _sample_setting(dist: JointDistribution, n: int, key: int) -> CountTable:
     live = probs > 0.0
     total = np.zeros(9, dtype=np.int64)
     total[live] = Generator(Philox(key=key)).multinomial(n, probs[live] / probs[live].sum())
-    counts = tuple(tuple(int(v) for v in total[i * 3:(i + 1) * 3]) for i in range(3))
-    return CountTable(counts, n)
+    return CountTable(tuple(map(tuple, total.reshape(3, 3).tolist())), n)
 
 
 def simulate(spec: RunSpec, workers: int = 1) -> RunResult:
@@ -76,18 +83,10 @@ def simulate(spec: RunSpec, workers: int = 1) -> RunResult:
     ``workers`` is accepted for compatibility and has no effect: a run is
     one multinomial draw per setting, whose cost does not depend on N.
     """
-    counts: dict[SettingLabel, CountTable] = {}
-    empirical: dict[SettingLabel, JointDistribution] = {}
-    stderr: dict[SettingLabel, tuple[float, ...]] = {}
     n = spec.pairs_per_setting
-    for index, label in enumerate(spec.settings):
-        key = (index << 64) | spec.seed
-        table = _sample_setting(spec.settings.get(label), n, key)
-        counts[label] = table
-        emp = empirical_distribution(table)
-        empirical[label] = emp
-        stderr[label] = tuple(math.sqrt(p * (1.0 - p) / n) for p in emp.flat())
-    return RunResult(spec, counts, empirical, stderr)
+    return RunResult(spec, {
+        label: _sample_setting(spec.settings.get(label), n, (index << 64) | spec.seed)
+        for index, label in enumerate(spec.settings)})
 
 
 def run_reports(counts: Mapping[SettingLabel, CountTable]) -> list[InequalityReport]:

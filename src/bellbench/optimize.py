@@ -186,17 +186,20 @@ def optimize(
 ) -> OptimizationResult:
     """Exhaustive coarse grid, then exact coordinate ascent.
 
-    ``grid_step`` must be valid for ``grid_points``, and the grid may have
-    at most MAX_GRID_POINTS points (``GridBudgetError`` otherwise).  Grid
-    ties go to the first point in product order.  Each ascent step sets
-    one free angle to its best value with the others fixed, sweeping the
-    free angles in order; the ascent stops after the first sweep that
-    moves no angle by ``refine_tolerance`` degrees or more (which must be
-    finite and positive), or after MAX_SWEEPS sweeps.  The final point is
-    kept only if it scores above the grid winner, so the result is never
-    worse than any grid point, and ties stay at the grid winner.
+    A free orientation in TIED_ORIENTATIONS takes its target's value and gets no
+    grid axis.  ``grid_step`` must be valid for ``grid_points``, and the grid
+    may have at most MAX_GRID_POINTS points (``GridBudgetError`` otherwise).
+    Grid ties go to the first point in product order.  Each ascent step sets one
+    free angle to its best value with the others fixed, sweeping the free angles
+    in order; the ascent stops after the first sweep that moves no angle by
+    ``refine_tolerance`` degrees or more (which must be finite and positive), or
+    after MAX_SWEEPS sweeps.  The final point is kept only if it scores above
+    the grid winner, so the result is never worse than any grid point, and ties
+    stay at the grid winner.
     """
-    free = [_FREE_ORDER.index(name) for name in sorted(problem.free_angles, key=_FREE_ORDER.index)]
+    f = FUNCTIONALS[problem.inequality]
+    free = [i for i, name in enumerate(_FREE_ORDER)
+            if name in problem.free_angles and name not in TIED_ORIENTATIONS.get(f.id, {})]
     n_points = grid_points(len(free), grid_step)
     if n_points > MAX_GRID_POINTS:
         raise GridBudgetError(
@@ -204,10 +207,9 @@ def optimize(
             "use a larger grid_step or fewer free angles")
     if not (math.isfinite(refine_tolerance) and refine_tolerance > 0):
         raise ValueError(f"refine_tolerance must be finite and positive, got {refine_tolerance!r}")
-    f = FUNCTIONALS[problem.inequality]
     grid = np.arange(round(180.0 / grid_step)) * grid_step
     base = np.array([getattr(problem.base_config, name) for name in _FREE_ORDER])
-    start, grid_margin = _grid_search(problem, f, free, grid, base)
+    start, grid_margin = _grid_search(problem, f, free, grid, base) if free else (base, -math.inf)
 
     terms = _cosine_terms(problem, f)
     partners = {column: [(s2, c) for s1, s2, c in terms if s1 == column]

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import random
 import re
+import sys
 import warnings
 
 import pytest
@@ -190,6 +192,41 @@ class TestSimulateEvaluate:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "a:b" in err and "(+,+)" in err
 
+    def test_row_order_does_not_matter(self, capsys, tmp_path):
+        counts = tmp_path / "run.csv"
+        run(capsys, "simulate", *_REAL, "--pairs", "1000", "--seed", "5",
+            "--counts-out", str(counts))
+        header, *rows = counts.read_text().splitlines()
+        random.Random(0).shuffle(rows)
+        scrambled = tmp_path / "scrambled.csv"
+        scrambled.write_text("\n".join([header, *rows]) + "\n")
+        ordered = run(capsys, "evaluate", str(counts), "--format", "json")
+        assert ordered[0] == 0
+        assert run(capsys, "evaluate", str(scrambled), "--format", "json") == ordered
+
+    def test_missing_probability_cells_are_zero(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "predict", "--ideal", "--angles", "60,120,0,0,0",
+                        "--format", "json")
+        rows = [f"{label},{o1},{o2},{p!r}"
+                for label, table in json.loads(out)["distributions"].items()
+                for o1, row in zip("+-0", table) for o2, p in zip("+-0", row)]
+        full, partial = tmp_path / "full.csv", tmp_path / "partial.csv"
+        full.write_text("\n".join(["setting,o1,o2,count_or_prob", *rows]) + "\n")
+        kept = [row for row in rows if not row.endswith(",0.0")]
+        assert len(kept) < len(rows)
+        partial.write_text("\n".join(["setting,o1,o2,count_or_prob", *kept]) + "\n")
+        expected = run(capsys, "evaluate", str(full), "--format", "json")
+        assert expected[0] == 0
+        assert run(capsys, "evaluate", str(partial), "--format", "json") == expected
+
+    def test_over_long_count_is_one_short_line(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("setting,o1,o2,count_or_prob\na:b,+,+,1" + "0" * 5000 + "\n")
+        code, out, err = run(capsys, "evaluate", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"config error: number too long in {str(path)!r}: 5001 digits, "
+                       f"the limit is {sys.get_int_max_str_digits()}\n")
+
     def test_evaluate_with_no_applicable_inequality(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         rows = ["setting,o1,o2,count_or_prob", "a:b,+,+,10", "a:b,-,-,10"]
@@ -251,6 +288,13 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "grid_step" in err
+
+    def test_optimize_tied_free_angles_take_no_grid_axis(self, capsys):
+        args = ("optimize", "--ideal", "--ineq", "strong46", "--grid-step", "5",
+                "--format", "json")
+        tied = run(capsys, *args, "--free", "a,b,r,a_prime,b_prime")
+        assert tied[0] == 0
+        assert tied == run(capsys, *args, "--free", "a,b,r")
 
     def test_optimize_csv_is_only_csv(self, capsys):
         code, out, _ = run(capsys, "optimize", "--ideal", "--ineq", "chsh",
@@ -609,6 +653,14 @@ class TestConfigFile:
         code, out, err = run(capsys, *argv, "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err == f"config error: {section}.{key} is beyond the float range\n"
+
+    def test_over_long_integer_is_one_short_line(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"theorem": {"U": -1' + "0" * 5000 + "}}")
+        code, out, err = run(capsys, "verify-theorem", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (f"config error: number too long in {str(cfg)!r}: 5001 digits, "
+                       f"the limit is {sys.get_int_max_str_digits()}\n")
 
     def test_integer_numbers_stay_integers(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

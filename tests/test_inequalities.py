@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
@@ -61,6 +63,21 @@ class TestMakeReport:
     def test_as_dict_includes_stderr_only_when_present(self):
         assert "stderr" not in make_report("X", 0, 1, ">=").as_dict()
         assert make_report("X", 0, 1, ">=", stderr=0.1).as_dict()["stderr"] == 0.1
+
+    def test_violated_iff_past_bound_at_the_float_extremes(self):
+        # Margins that overflow, underflow to subnormals, or are inf or nan.
+        values = [-math.inf, -1e308, -5e-324, 0.0, 5e-324, 1e308, math.inf, math.nan]
+        for value, bound in itertools.product(values, repeat=2):
+            assert make_report("X", value, bound, ">=").violated == (value < bound)
+            assert make_report("X", value, bound, "<=").violated == (value > bound)
+
+    @pytest.mark.parametrize("stderr", [None, 0.1])
+    def test_as_dict_is_asdict_without_a_none_stderr(self, stderr):
+        r = make_report("X", -1.5, -1.0, ">=", stderr=stderr)
+        expected = dataclasses.asdict(r)
+        if stderr is None:
+            del expected["stderr"]
+        assert list(r.as_dict().items()) == list(expected.items())
 
 
 # --- the algebraic theorem -------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -11,6 +12,7 @@ from bellbench import (
     JointDistribution,
     RunSpec,
     SettingsTable,
+    empirical_distribution,
     run_reports,
     settings_table,
     simulate,
@@ -60,11 +62,21 @@ class TestSimulate:
     def test_worker_count_is_invisible(self, workers):
         # A setting's counts are one draw from a stream keyed by (seed,
         # setting index); the worker count takes no part in it.
-        n = (1 << 18) * 2 + 12345  # force several unequal chunks
+        n = (1 << 18) * 2 + 12345
         spec = make_spec(n=n)
         serial = simulate(spec, workers=1)
         threaded = simulate(spec, workers=workers)
         assert all(serial.counts[l].n == threaded.counts[l].n for l in ALL_PAIRS)
+
+    def test_empirical_and_stderr_follow_the_counts(self):
+        result = simulate(make_spec(n=1000, seed=1))
+        other = simulate(make_spec(n=4000, seed=2)).counts
+        moved = dataclasses.replace(result, counts=other)
+        for label, c in other.items():
+            emp = empirical_distribution(c)
+            assert moved.empirical[label] == emp
+            assert moved.stderr[label] == tuple(
+                math.sqrt(p * (1.0 - p) / 4000) for p in emp.flat())
 
     def test_cost_does_not_grow_with_run_size(self):
         spec = make_spec(n=10 ** 12)

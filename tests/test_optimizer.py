@@ -173,6 +173,23 @@ GRID_PROBLEMS = [
 ]
 
 
+@pytest.mark.parametrize("params", [None, REAL], ids=["ideal", "real"])
+@pytest.mark.parametrize("fid", list(FUNCTIONALS))
+def test_tied_free_angles_change_nothing(fid, params):
+    tied = TIED_ORIENTATIONS.get(fid, {})
+    untied = tuple(n for n in optimize_module._FREE_ORDER if n not in tied)
+    every = OptimizationProblem(fid, optimize_module._FREE_ORDER, BASE, params)
+    assert optimize(every, grid_step=30.0) == optimize(
+        OptimizationProblem(fid, untied, BASE, params), grid_step=30.0)
+    if tied:
+        # Only tied names free: the base orientations, with the ties applied.
+        only = optimize(OptimizationProblem(fid, tuple(tied), BASE, params))
+        f = FUNCTIONALS[fid]
+        config = BASE.replace(**{n: getattr(BASE, target) for n, target in tied.items()})
+        assert only.best_config == config
+        assert only.best_report == f.evaluate(settings_table(config, f.required_pairs, params))
+
+
 def _grid_winner(problem, step):
     f = FUNCTIONALS[problem.inequality]
     order = optimize_module._FREE_ORDER
