@@ -229,7 +229,7 @@ def read_table_csv(path: str):
                 if len(row) != 4:
                     raise ConfigError(f"bad CSV row: {row!r}")
                 rows.append(row)
-    except OSError as exc:
+    except (OSError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
 
     is_counts = all("." not in r[3] and "e" not in r[3].lower() for r in rows)

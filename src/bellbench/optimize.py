@@ -66,7 +66,10 @@ class OptimizationResult:
     best_config: AngleConfig
     best_report: InequalityReport
     best_margin: float
-    canonical_differences: tuple[float, float, float, float]
+
+    @property
+    def canonical_differences(self) -> tuple[float, float, float, float]:
+        return self.best_config.canonical_differences()
 
 
 # The coarse grid is scored in slabs of at most this many points, which
@@ -238,5 +241,4 @@ def optimize(
     best_config, report = scored(current)
     if report.margin <= grid_margin:  # no gain, or a rounding loss: keep the grid winner
         best_config, report = scored(start)
-    return OptimizationResult(
-        best_config, report, report.margin, best_config.canonical_differences())
+    return OptimizationResult(best_config, report, report.margin)

@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import warnings
 
@@ -296,6 +298,21 @@ class TestOtherCommands:
         assert tied[0] == 0
         assert tied == run(capsys, *args, "--free", "a,b,r")
 
+    def test_optimize_ratio_form_with_no_reference_coincidences(self, capsys):
+        # At eta = 0 nothing is detected, so the ascent has no denominator
+        # to climb and the final report none to divide by.
+        code, out, err = run(capsys, "optimize", "--eta", "0", "--phi", "30",
+                             "--ineq", "strong46", "--free", "a,b")
+        assert (code, out, err) == (3, "", "error: no r,r coincidences\n")
+
+    def test_module_runs_as_a_script(self, capsys):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "bellbench.cli", "lhv-bound", "chsh27"],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == run(capsys, "lhv-bound", "chsh27")[1]
+
     def test_optimize_csv_is_only_csv(self, capsys):
         code, out, _ = run(capsys, "optimize", "--ideal", "--ineq", "chsh",
                            "--free", "a,b", "--grid-step", "30", "--format", "csv")
@@ -505,6 +522,17 @@ class TestConfigFile:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("document,message", [
+        ([1], "config root must be an object"),
+        ({"run": 5}, "config section 'run' must be an object"),
+    ], ids=["root", "section"])
+    def test_document_that_is_not_an_object(self, capsys, tmp_path, document, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        got = run(capsys, "simulate", "--ideal", "--angles", "0,0,0,0,0", "--pairs", "10",
+                  "--config", str(cfg))
+        assert got == (2, "", f"config error: {message}\n")
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"run": {"pairs": 10}}))
@@ -662,6 +690,15 @@ class TestConfigFile:
         assert err == (f"config error: number too long in {str(cfg)!r}: 5001 digits, "
                        f"the limit is {sys.get_int_max_str_digits()}\n")
 
+    def test_integer_side_beyond_64_bits(self, capsys, tmp_path):
+        # It used to end in a casting traceback from the form's kernel.
+        big = 123456789012345678901234567890
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorem": {"U": big}}))
+        got = run(capsys, "verify-theorem", "--config", str(cfg), "--samples", "10")
+        assert got[0] == 0
+        assert got == run(capsys, "verify-theorem", "--U", str(big), "--samples", "10")
+
     def test_integer_numbers_stay_integers(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"theorem": {"U": 1, "V": 2}}))
@@ -682,6 +719,7 @@ _OPTIMIZE = ["optimize", "--ideal", "--ineq", "chsh", "--free", "a,b", "--grid-s
 @pytest.mark.parametrize("argv,prefix", [
     (["predict", "--ideal", "--angles", "60,120,0,0,0", "--ineq", "bogus"], "config error:"),
     (["predict", "--ideal", "--angles", "nan,0,0,0,0"], "config error:"),
+    (["predict", "--ideal", "--angles", "1,2,x,4,5"], "config error: bad angle in"),
     (["predict", "--ideal", "--angles", "1e400,0,0,0,0"], "config error:"),
     ([*_OPTIMIZE, "--angles", "nan,0,0,0,0"], "config error:"),
     ([*_OPTIMIZE, "--angles", "1e400,0,0,0,0"], "config error:"),
@@ -727,6 +765,22 @@ def test_negative_count_is_a_config_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("row,message", [
+    ("a:b,+,+", "bad CSV row: ['a:b', '+', '+']"),
+    ("ab,+,+,5", "bad setting label 'ab'"),
+    ("a:b,x,+,5", "bad outcome symbols in row for 'a:b'"),
+    ("a:b,+,+,x", "bad value 'x'"),
+    ("a:b,+,+,1.5", "invalid probability table for ('a', 'b'): probability out of range: 1.5"),
+    ("a:b,+,+,1" + "0" * 200_000,
+     f"cannot read {{path!r}}: field larger than field limit ({csv.field_size_limit()})"),
+], ids=["three-fields", "no-colon", "outcome", "count", "probability", "field-limit"])
+def test_bad_table_file_is_one_line_exit_2(capsys, tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"setting,o1,o2,count_or_prob\n{row}\n")
+    got = run(capsys, "evaluate", str(path))
+    assert got == (2, "", f"config error: {message.format(path=str(path))}\n")
 
 
 @pytest.mark.parametrize("count,code", [(10 ** 400, 2), (92 * 10 ** 20, 0)],

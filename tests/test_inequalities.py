@@ -49,6 +49,10 @@ class TestMakeReport:
         r = make_report("FC48", 0.35, 0.25, "<=")
         assert r.violated and r.margin == pytest.approx(0.10)
 
+    def test_unknown_direction(self):
+        with pytest.raises(ValueError, match="unknown direction '=='"):
+            make_report("X", 0.0, 1.0, "==")
+
     def test_boundary_is_not_violation(self):
         assert not make_report("CHSH27", -2.0, -2.0, ">=").violated
         assert not make_report("FC48", 0.25, 0.25, "<=").violated
@@ -89,6 +93,19 @@ class TestTheorem:
     def test_point_validation(self):
         with pytest.raises(ValueError):
             TheoremPoint(1.5, 0, 0, 0, 0, 0, 0, 0, U=1.0, V=1.0)
+
+    def test_point_rejects_a_y_outside_its_side(self):
+        with pytest.raises(ValueError, match=r"y value 1\.5 outside \[0, 1\.0\]"):
+            TheoremPoint(0, 0, 0, 0, 0, 0, 0, 1.5, U=1.0, V=1.0)
+
+    def test_integer_sides_are_scored_as_floats(self):
+        # A side beyond 64 bits used to make an object array of caps, and
+        # the form a casting error.
+        big = 123456789012345678901234567890
+        p = TheoremPoint(0, 0, 0, 0, 0, 0, 0, 0, U=big, V=1)
+        assert (p.U, p.V) == (float(big), 1.0) and type(p.V) is float
+        assert z_value(p) == float(big)
+        assert verify_theorem(big, 1, samples=10) == verify_theorem(float(big), 1.0, samples=10)
 
     @given(unit, unit, unit, unit, unit, unit, unit, unit)
     @hyp_settings(max_examples=300)
@@ -161,8 +178,8 @@ class TestTheorem:
              + V * x2p + V * x2m + U * y2p + U * y2m + U * V)
         got = verify_theorem(U, V, samples=samples, seed=seed).min_sampled_value
         assert got == pytest.approx(z.min(), rel=1e-12)
-        # The in-place evaluation keeps the factored form's operation order,
-        # so it matches that form written as one expression exactly.
+        # _z_array adds the factored form's terms one statement at a time,
+        # in this order, so it matches the form written as one expression exactly.
         dy1 = y1p - y1m
         factored = ((x1p - x1m) * (dy1 + y2p - y2m) + (x2p - x2m) * dy1
                     - 2.0 * (x2p * y2p + x2m * y2m)

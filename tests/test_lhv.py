@@ -77,6 +77,12 @@ class TestConstraints:
             {"b": (0.45, 0.45), "r": (0.9, 0.0)})
         assert check_supplementary(eq)
 
+    @pytest.mark.parametrize("check", [check_supplementary, check_gr])
+    def test_constraints_need_an_r_slot(self, check):
+        rf = ResponseFunction({"a": (0.5, 0.2)}, {"b": (0.1, 0.1), "r": (0.5, 0.5)})
+        with pytest.raises(EvaluationError, match="'r' on side 1"):
+            check(rf)
+
     def test_supplementary_does_not_imply_gr(self):
         # Detection totals differ between settings, yet every channel
         # stays below the reference total: the equality version is
@@ -105,6 +111,13 @@ class TestEnsembleTable:
             q = np.zeros((len(weights), 2, 1, 2))
             with pytest.raises(ValueError, match="finite"):
                 LhvModel._from_array(q, (("a",), ("b",)), weights)
+
+    @pytest.mark.parametrize("weights,match", [
+        ((1.0,), "differ in length"), ((1.5, -0.5), "non-negative")])
+    def test_weights_must_fit_the_strategies(self, weights, match):
+        rf = ResponseFunction.deterministic({"a": P}, {"b": P})
+        with pytest.raises(ValueError, match=match):
+            LhvModel((rf, rf), weights)
 
     def test_drawn_responses_are_checked(self):
         q = np.zeros((2, 2, 2, 2))
@@ -393,6 +406,13 @@ class TestSampling:
         for n in (0, MAX_STRATEGIES + 1):
             with pytest.raises(ValueError):
                 sample_random_model(0, n)
+
+    def test_unknown_constraint(self):
+        with pytest.raises(ValueError, match="unknown constraint 'extra'"):
+            sample_random_model(0, 2, "extra")
+
+    def test_compares_unequal_to_other_types(self):
+        assert (sample_random_model(7, 3) == 3) is False
 
     def test_tie_primed_to_r(self):
         rng = np.random.default_rng(5)

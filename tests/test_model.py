@@ -132,6 +132,11 @@ class TestCountTable:
         with pytest.raises(ValueError):
             CountTable(((1, 0, 0), (0, 0, 0), (0, 0, 0)), 2)
 
+    @pytest.mark.parametrize("n", [((1, 0, 0), (0, 0, 0)), ((1, 0), (0, 0), (0, 0))])
+    def test_requires_3x3(self, n):
+        with pytest.raises(ValueError, match="3x3"):
+            CountTable(n, 1)
+
     def test_empirical_distribution(self):
         c = CountTable(((1, 1, 0), (1, 1, 0), (0, 0, 0)), 4)
         d = empirical_distribution(c)

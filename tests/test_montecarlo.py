@@ -10,6 +10,7 @@ from bellbench import (
     EvaluationError,
     ExperimentParams,
     JointDistribution,
+    MissingSettingError,
     RunSpec,
     SettingsTable,
     empirical_distribution,
@@ -155,6 +156,26 @@ class TestErrorPropagation:
         counts = {label: empty for label in ALL_PAIRS}
         with pytest.raises(EvaluationError):
             FUNCTIONALS["STRONG46"].estimate(counts)
+
+
+    def test_estimate_needs_every_setting(self):
+        counts = simulate(make_spec(n=10)).counts
+        del counts[("r", "r")]
+        with pytest.raises(MissingSettingError, match=r"\('r', 'r'\)"):
+            FUNCTIONALS["STRONG46"].estimate(counts)
+
+
+EMPTY = CountTable(((0, 0, 0), (0, 0, 0), (0, 0, 0)), 0)
+
+
+@pytest.mark.parametrize("score", [
+    run_reports,
+    FUNCTIONALS["INEQ19"].estimate,
+    lambda counts: empirical_distribution(counts[("a", "b")]),
+], ids=["run_reports", "estimate", "empirical_distribution"])
+def test_empty_run_is_an_evaluation_error(score):
+    with pytest.raises(EvaluationError, match="empty run"):
+        score({label: EMPTY for label in ALL_PAIRS})
 
 
 class TestRunReports:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -153,6 +154,13 @@ class TestSearchProperties:
         r = optimize(p, grid_step=45.0, refine_tolerance=1.0)
         assert r.best_config.r == 77.0
         assert r.best_config.a_prime == 0.0
+
+    def test_canonical_differences_follow_the_best_config(self):
+        r = optimize(OptimizationProblem("CHSH27", ("a", "b"), ZERO), grid_step=45.0)
+        assert r.canonical_differences == r.best_config.canonical_differences()
+        moved = dataclasses.replace(r, best_config=r.best_config.replace(a=10.0))
+        assert moved.canonical_differences == moved.best_config.canonical_differences()
+        assert moved.canonical_differences != r.canonical_differences
 
 
 # Problems over every functional, ideal and real, with tied geometries
