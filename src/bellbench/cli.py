@@ -359,13 +359,15 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_verify_theorem(args) -> int:
     report = verify_theorem(args.U, args.V, samples=args.samples, seed=args.seed)
+    # The box as scored: a number that a float cannot hold echoes as that float.
+    U, V = (x if float(x) == x else float(x) for x in (args.U, args.V))
     lines = [f"min vertex value: {_fmt(report.min_vertex_value)}",
              "argmin vertex: (" + ", ".join(map(_fmt, report.argmin_vertex)) + ")"]
     if report.min_sampled_value is not None:
         lines.append(f"min sampled value ({args.samples} points): "
                      f"{_fmt(report.min_sampled_value)}")
     return _emit(args, {
-        "U": args.U, "V": args.V, "samples": args.samples, "seed": args.seed,
+        "U": U, "V": V, "samples": args.samples, "seed": args.seed,
         "min_vertex_value": report.min_vertex_value,
         "argmin_vertex": list(report.argmin_vertex),
         "min_sampled_value": report.min_sampled_value,
@@ -411,20 +413,12 @@ def _cmd_lhv_sample(args) -> int:
     if fid not in FUNCTIONALS:
         raise ConfigError(f"{fid} is not a settings-table functional")
     f = FUNCTIONALS[fid]
-    worst = worst_seed = None
     tie = args.tie_r or fid == "STRONG46"
-    for i in range(args.models):
-        model = sample_random_model(args.seed + i, args.strategies, args.constraint,
-                                    tie_primed_to_r=tie)
-        try:
-            report = f.evaluate(ensemble_table(model, f.required_pairs))
-        except EvaluationError:
-            continue
-        if worst is None or report.margin > worst:
-            worst = report.margin
-            worst_seed = args.seed + i
-    if worst is None:
-        raise EvaluationError("no sampled model produced an evaluable table")
+    # Each model has r,r coincidences unless every strategy's detection total at r is 0.0.
+    margins = (f.evaluate(ensemble_table(
+        sample_random_model(args.seed + i, args.strategies, args.constraint, tie_primed_to_r=tie),
+        f.required_pairs)).margin for i in range(args.models))
+    worst_seed, worst = max(enumerate(margins, args.seed), key=lambda seed_margin: seed_margin[1])
     return _emit(args, {
         "functional": fid, "constraint": args.constraint,
         "models": args.models, "strategies": args.strategies,
@@ -537,7 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Every ValueError bellbench raises (ConfigError among them) rejects a
     # value passed in.  A computation that cannot proceed raises
     # EvaluationError: no r,r coincidences, an empty run, a failed theorem
-    # check, no admissible strategy, no applicable inequality.
+    # check, no applicable inequality.
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -132,6 +132,12 @@ def z_value(p: TheoremPoint) -> float:
     return float(_z_array(x, p.U, p.V)[0])
 
 
+# Z_{U,V}(Ux, Vy) = UV·Z_{1,1}(x, y), and at the 256 0/1 vertices Z_{1,1}
+# takes small integers, which floats hold exactly: scored once here.
+_VERTICES = np.array(list(itertools.product((0.0, 1.0), repeat=8)))
+_VERTEX_Z = _z_array(_VERTICES, 1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     min_vertex_value: float
@@ -155,21 +161,20 @@ def verify_theorem(U: float, V: float, samples: int = 0, seed: int = 0) -> Theor
     """Check Z >= 0 over the box by vertex enumeration plus sampling.
 
     Z is multilinear in the eight variables, so its box minimum is
-    attained at one of the 2^8 vertices; interior samples are a sanity
-    check on the vectorized evaluation.  The samples are the rows of
-    ``default_rng(seed).random((samples, 8))`` scaled to the box, drawn in
-    blocks: the generator fills arrays in C order, so the blocks hold
-    exactly the rows of that single draw.
+    attained at a vertex: exactly U·V times the unit box's integer vertex
+    minimum, reported with the first minimizing vertex scaled by the box.
+    Interior samples are a sanity check on the vectorized evaluation.  They
+    are the rows of ``default_rng(seed).random((samples, 8))`` scaled to
+    the box, drawn in blocks: the generator fills arrays in C order, so the
+    blocks hold exactly the rows of that single draw.
     """
     U, V = _check_box(U, V)
     if not 0 <= samples <= MAX_THEOREM_SAMPLES:
         raise ValueError(f"samples must be in [0, {MAX_THEOREM_SAMPLES}], got {samples}")
     caps = np.array([U, U, U, U, V, V, V, V])
-    vertices = np.array(list(itertools.product((0.0, 1.0), repeat=8))) * caps
-    vz = _z_array(vertices, U, V)
-    i = int(np.argmin(vz))
-    min_vertex = float(vz[i])
-    argmin = tuple(float(v) for v in vertices[i])
+    i = int(np.argmin(_VERTEX_Z))
+    min_vertex = U * V * float(_VERTEX_Z[i])
+    argmin = tuple(float(v) for v in _VERTICES[i] * caps)
     min_sampled = None
     if samples:
         rng = np.random.default_rng(seed)

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -138,39 +138,33 @@ class LhvModel:
     ``responses`` is one read-only array, strategies x side x slot x
     (q+, q-, q_none); ``names`` holds each side's slot names in slot order
     (a shorter side leaves its last slots unnamed) and ``weights`` the
-    mixture weights as floats.  Strategies whose slot sets differ share
-    the union of their slot names, and ``present`` (strategies x side x
-    slot) marks which strategy has which slot; it is None when every
-    strategy has every named slot.
+    mixture weights as floats.  A model's slots are those that every one
+    of its strategies names, in first-seen order: a mixture responds only
+    where each of its strategies does.
     """
 
     def __init__(self, strategies: Sequence[ResponseFunction], weights: Sequence[float]) -> None:
         strategies = tuple(strategies)
-        names = tuple(tuple(dict.fromkeys(name for rf in strategies for name in rf.slots(side)))
+        names = tuple(tuple(name for first in strategies[:1] for name in first.slots(side)
+                            if all(name in rf.slots(side) for rf in strategies))
                       for side in (1, 2))
         q = np.zeros((len(strategies), 2, max(map(len, names)), 2))
-        present = np.zeros(q.shape[:-1], dtype=bool)
         for s, rf in enumerate(strategies):
             for side, side_names in enumerate(names):
                 slots = rf.slots(side + 1)
                 for k, name in enumerate(side_names):
-                    if name in slots:
-                        q[s, side, k] = slots[name]
-                        present[s, side, k] = True
-        named = all(present[:, side, :len(side_names)].all() for side, side_names in enumerate(names))
-        self._set(q, names, weights, None if named else present)
+                    q[s, side, k] = slots[name]
+        self._set(q, names, weights)
         self.__dict__["strategies"] = strategies  # the views are the given objects
 
     @classmethod
     def _from_array(cls, q: np.ndarray, names: SlotNames, weights: Sequence[float]) -> "LhvModel":
-        """A model over q, strategies x side x slot x (q+, q-), in which every
-        strategy has every named slot."""
+        """A model over q, strategies x side x slot x (q+, q-)."""
         model = cls.__new__(cls)
-        model._set(q, names, weights, None)
+        model._set(q, names, weights)
         return model
 
-    def _set(self, q: np.ndarray, names: SlotNames, weights: Sequence[float],
-             present: Optional[np.ndarray]) -> None:
+    def _set(self, q: np.ndarray, names: SlotNames, weights: Sequence[float]) -> None:
         """Check the responses and weights in one pass, by ResponseFunction's
         rules and a mixture's, and store them with q_none appended."""
         weights = tuple(map(float, weights))
@@ -193,7 +187,7 @@ class LhvModel:
             raise ValueError(f"{message} at {names[slot[1]][slot[2]]!r}")
         responses = np.concatenate((q, np.maximum(0.0, 1.0 - qp - qm)[..., None]), axis=-1)
         responses.setflags(write=False)
-        self.__dict__.update(responses=responses, names=names, weights=weights, present=present)
+        self.__dict__.update(responses=responses, names=names, weights=weights)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"LhvModel is immutable; cannot set {name!r}")
@@ -237,10 +231,6 @@ def ensemble_table(model: LhvModel, pairs: Iterable[SettingLabel]) -> SettingsTa
     """
     labels = tuple(pairs)
     sides, slots = _members(labels, model.names)
-    if model.present is not None:
-        for side, k in zip(sides.T.flat, slots.T.flat):
-            if not model.present[:, side, k].all():
-                raise _missing(side + 1, model.names[side][k])
     # Every strategy's (q+, q-, q_none) at each pair's first and second
     # member, member x pair x strategy x outcome: one gather, in the C order
     # einsum has always been given.
@@ -331,9 +321,8 @@ def local_bound(functional: str, constraint: str = "none") -> BoundResult:
     cells = [(grid[s1][..., k1, :, None] * grid[s2][..., k2, None, :]).reshape(ok.shape + (9,))
              for s1, s2, k1, k2 in zip(*sides, *slots)]
     margins = np.where(ok, f.margins(cells), -np.inf)
+    # Some pair is scored: + at every slot keeps every constraint and tie, with r,r coincidences.
     i, j = np.unravel_index(int(np.argmax(margins)), ok.shape)
-    if margins[i, j] == -np.inf:
-        raise EvaluationError("no admissible strategy for this functional/constraint")
     value, _ = f.values([c[i, j] for c in cells])
     witness = ({n: OUTCOMES[o].value for n, o in zip(side_names, q[k].argmax(axis=-1))}
                for side_names, q, k in zip(names, (q1, q2), (i, j)))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -698,6 +699,25 @@ class TestConfigFile:
         got = run(capsys, "verify-theorem", "--config", str(cfg), "--samples", "10")
         assert got[0] == 0
         assert got == run(capsys, "verify-theorem", "--U", str(big), "--samples", "10")
+
+    def test_box_echoes_as_scored(self, capsys, tmp_path):
+        # A config integer that a float cannot hold echoes as the float the
+        # check used, the one the argmin vertex is scaled by.
+        big = 123456789012345678901234567890
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorem": {"U": big}}))
+        code, out, _ = run(capsys, "verify-theorem", "--config", str(cfg), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert type(payload["U"]) is float and payload["U"] == float(big)
+        assert payload["min_vertex_value"] == 0.0
+        assert payload["U"] in payload["argmin_vertex"]
+
+    def test_failed_check_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("bellbench.inequalities._z_array",
+                            lambda x, U, V: np.full(len(x), -1.0))
+        code, out, err = run(capsys, "verify-theorem", "--samples", "10")
+        assert (code, out, err) == (3, "", "error: theorem check failed: min Z = -1.0\n")
 
     def test_integer_numbers_stay_integers(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -127,6 +127,27 @@ class TestTheorem:
         assert report.min_vertex_value == 0.0
         assert report.min_sampled_value >= 0.0
 
+    def test_vertex_minimum_is_exact_on_every_box(self):
+        # Z_{U,V}(Ux, Vy) = UV·Z_{1,1}(x, y): the minimum is U·V times the
+        # unit box's, 0.  Scoring the scaled vertices gave -2.2e-16 at
+        # U = 1.3, V = 0.7 and -2^45 at U = 1.2345678901234568e+29.
+        big = 123456789012345678901234567890
+        boxes = [(1.3, 0.7), (big, 1), *np.random.default_rng(0).random((300, 2)).tolist()]
+        for U, V in boxes:
+            report = verify_theorem(U, V)
+            assert report.min_vertex_value == 0.0
+            sides = (float(U),) * 4 + (float(V),) * 4
+            assert all(v in (0.0, side) for v, side in zip(report.argmin_vertex, sides))
+        assert verify_theorem(1.0, 1.0).argmin_vertex == (0, 0, 0, 1, 1, 0, 0, 1)
+
+    def test_failed_check_raises(self, monkeypatch):
+        # The vertices are scored at import, so only the samples see the
+        # broken form.
+        monkeypatch.setattr(inequalities, "_z_array", lambda x, U, V: np.full(len(x), -1.0))
+        assert verify_theorem(1.0, 1.0).min_vertex_value == 0.0
+        with pytest.raises(EvaluationError, match=r"^theorem check failed: min Z = -1\.0$"):
+            verify_theorem(1.0, 1.0, samples=10)
+
     def test_scaled_boxes(self):
         for U, V in ((0.5, 2.0), (3.0, 0.25), (0.0, 1.0)):
             report = verify_theorem(U, V, samples=1000, seed=2)

@@ -180,7 +180,6 @@ class TestModelArray:
             model = sample_random_model(seed, 1 + seed % 5, constraint, tie_primed_to_r=tie)
             rebuilt = LhvModel(model.strategies, model.weights)
             assert model == rebuilt
-            assert rebuilt.present is None
             np.testing.assert_array_equal(model.responses, rebuilt.responses)
             # Each strategy's row is its view's (q+, q-, q_none), bit for bit.
             for row, rf in zip(model.responses.tolist(), model.strategies):
@@ -215,7 +214,7 @@ class TestModelArray:
         rf1 = ResponseFunction.deterministic({"a": P, "a_prime": M}, {"b": P})
         rf2 = ResponseFunction({"a": (0.25, 0.5)}, {"b": (0.0, 0.5), "b_prime": (1.0, 0.0)})
         model = LhvModel((rf1, rf2), (0.5, 0.5))
-        assert model.names == (("a", "a_prime"), ("b", "b_prime"))
+        assert model.names == (("a",), ("b",))
         assert model.strategies == (rf1, rf2)
         d = ensemble_table(model, (("a", "b"),)).get(("a", "b"))
         expected = sum(w * np.outer(rf.response(1, "a"), rf.response(2, "b"))
@@ -254,6 +253,18 @@ class TestLocalBounds:
     def test_frozen_bounds(self, fid, constraint):
         r = local_bound(fid, constraint)
         assert r.bound == pytest.approx(self.EXPECTED[(fid, constraint)], abs=1e-12)
+
+    def test_all_plus_pair_is_admissible(self):
+        # Why local_bound always has a pair to score: the strategies
+        # detecting + at every slot meet both constraints, and every
+        # functional, ratio forms included, is finite on them.
+        rf = ResponseFunction.deterministic({"a": P, "a_prime": P, "r": P},
+                                            {"b": P, "b_prime": P, "r": P})
+        assert check_supplementary(rf) and check_gr(rf)
+        model = LhvModel((rf,), (1.0,))
+        values = [f.evaluate(ensemble_table(model, f.required_pairs)).value
+                  for f in FUNCTIONALS.values()]
+        assert values == [3.0, 3.0, 2.0, 3.0, 3.0, 3.0]
 
     @staticmethod
     def witness_value(r):
